@@ -35,11 +35,32 @@ _NUMERIC_ERRORS = (NonFiniteGradientError, NonFiniteLossError)
 
 
 def _take(d: dict, allowed: dict, context: str) -> dict:
-    """Reject unknown keys; apply per-key converters from `allowed`."""
+    """Reject non-objects and unknown keys; apply per-key converters from `allowed`."""
+    if not isinstance(d, dict):
+        raise ConfigFileError(f"{context}: expected a JSON object, got {type(d).__name__}")
     unknown = set(d) - set(allowed)
     if unknown:
         raise ConfigFileError(f"{context}: unknown keys {sorted(unknown)}")
-    return {k: allowed[k](v) for k, v in d.items()}
+    out = {}
+    for k, v in d.items():
+        try:
+            out[k] = allowed[k](v)
+        except (TypeError, ValueError, IndexError, OverflowError) as exc:
+            raise ConfigFileError(f"{context}: bad value for {k!r}: {exc}") from exc
+    return out
+
+
+def _as_is(v):
+    """Converter for a section that its own parser checks."""
+    return v
+
+
+def _list_of(convert):
+    def convert_list(v):
+        if not isinstance(v, list):
+            raise TypeError(f"expected a JSON list, got {type(v).__name__}")
+        return [convert(x) for x in v]
+    return convert_list
 
 
 def _load_json(path) -> dict:
@@ -101,11 +122,10 @@ def _parse_dataset(doc: dict, seed_override):
     if has_synth:
         cfg = _parse_synth(doc["synth"], seed_override)
         return data_mod.generate_synthetic(cfg), f"synthetic(seed={cfg.seed})"
-    dir_path = Path(doc["dataset_dir"])
+    dir_path = doc["dataset_dir"]
     if not dir_path.is_dir():
         raise ConfigFileError(f"dataset_dir does not exist: {dir_path}")
-    coverage = float(doc.get("weak_coverage", 0.08))
-    return data_mod.load_dataset(dir_path, weak_coverage=coverage), str(dir_path)
+    return data_mod.load_dataset(dir_path), str(dir_path)
 
 
 def _out_dir(doc: dict, args) -> Path:
@@ -113,14 +133,11 @@ def _out_dir(doc: dict, args) -> Path:
         return Path(args.out)
     if "out_dir" not in doc:
         raise ConfigFileError("out_dir missing from config (or pass --out)")
-    return Path(doc["out_dir"])
+    return doc["out_dir"]
 
 
 def cmd_synth(args) -> int:
-    doc = _load_json(args.config)
-    extra = {k: doc[k] for k in doc if k not in ("synth", "out_dir")}
-    if extra:
-        raise ConfigFileError(f"synth config: unknown keys {sorted(extra)}")
+    doc = _take(_load_json(args.config), {"synth": _as_is, "out_dir": Path}, "synth config")
     if "synth" not in doc:
         raise ConfigFileError("synth config: 'synth' section is required")
     cfg = _parse_synth(doc["synth"], args.seed)
@@ -157,11 +174,9 @@ def cmd_slice_select(args) -> int:
 
 
 def cmd_train(args) -> int:
-    doc = _load_json(args.config)
-    allowed = ("synth", "dataset_dir", "weak_coverage", "model", "ablation", "out_dir")
-    extra = set(doc) - set(allowed)
-    if extra:
-        raise ConfigFileError(f"train config: unknown keys {sorted(extra)}")
+    doc = _take(_load_json(args.config), {
+        "synth": _as_is, "dataset_dir": Path, "model": _as_is, "ablation": _as_is,
+        "out_dir": Path}, "train config")
     for key in ("model", "ablation"):
         if key not in doc:
             raise ConfigFileError(f"train config: '{key}' section is required")
@@ -180,13 +195,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    doc = _load_json(args.config)
-    allowed = ("synth", "dataset_dir", "weak_coverage", "model", "grid",
-               "grid_seeds", "epochs", "batch_size", "learning_rate",
-               "coverages", "out_dir")
-    extra = set(doc) - set(allowed)
-    if extra:
-        raise ConfigFileError(f"ablate config: unknown keys {sorted(extra)}")
+    doc = _take(_load_json(args.config), {
+        "synth": _as_is, "dataset_dir": Path, "model": _as_is, "grid": _as_is,
+        "grid_seeds": _list_of(int), "epochs": int, "batch_size": int,
+        "learning_rate": float, "coverages": _list_of(float), "out_dir": Path},
+        "ablate config")
     if "model" not in doc:
         raise ConfigFileError("ablate config: 'model' section is required")
     dataset, source = _parse_dataset(doc, args.seed)
@@ -195,15 +208,10 @@ def cmd_ablate(args) -> int:
 
     grid_spec = doc.get("grid", "default")
     if grid_spec == "default":
-        seeds = [int(s) for s in doc.get("grid_seeds", [args.seed if args.seed is not None else 0])]
-        grid = []
-        for seed in seeds:
-            grid.extend(default_grid(
-                coverages=tuple(float(c) for c in doc.get("coverages", (0.04, 0.08, 0.12))),
-                seed=seed,
-                epochs=int(doc.get("epochs", 30)),
-                batch_size=int(doc.get("batch_size", 8)),
-                learning_rate=float(doc.get("learning_rate", 1e-3))))
+        options = {k: doc[k] for k in ("coverages", "epochs", "batch_size", "learning_rate")
+                   if k in doc}
+        grid = [cfg for seed in doc.get("grid_seeds", [args.seed or 0])
+                for cfg in default_grid(seed=seed, **options)]
     elif isinstance(grid_spec, list):
         grid = [_parse_ablation(entry, args.seed) for entry in grid_spec]
     else:

@@ -41,7 +41,7 @@ class OptimizerState:
 
 def optimizer_step(params: ModelParams, grads: ModelParams,
                    state: OptimizerState) -> tuple[ModelParams, OptimizerState]:
-    g = grads.flatten()
+    g = grads.flat
     if not np.all(np.isfinite(g)):
         raise NonFiniteGradientError("gradient contains NaN or infinity")
     t = state.step_count + 1
@@ -49,10 +49,9 @@ def optimizer_step(params: ModelParams, grads: ModelParams,
     v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
     m_hat = m / (1.0 - state.beta1 ** t)
     v_hat = v / (1.0 - state.beta2 ** t)
-    new_flat = params.flatten() - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
-    new_params = ModelParams.from_flat(params.config, new_flat)
-    new_state = replace(state, step_count=t, m=m, v=v)
-    return new_params, new_state
+    update = state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    return (ModelParams(params.config, params.flat - update),
+            replace(state, step_count=t, m=m, v=v))
 
 
 def weights_for_mode(mode: str) -> LossWeights:

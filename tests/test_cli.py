@@ -210,3 +210,36 @@ def test_ablate_dataset_dir_must_exist(tmp_path):
            "model": {"height": 16, "width": 16}, "out_dir": str(tmp_path / "o")}
     cfg = write_config(tmp_path, doc)
     assert main(["ablate", "--config", cfg]) == 1
+
+
+TINY_SYNTH = {"height": 8, "width": 8, "n_samples": 2}
+TINY_MODEL = {"height": 8, "width": 8}
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("synth", {"synth": dict(TINY_SYNTH, roi_fraction_range=5)}),
+    ("train", {"synth": [], "model": TINY_MODEL, "ablation": {"mode": "combined"}}),
+    ("train", {"synth": TINY_SYNTH, "model": [], "ablation": {"mode": "combined"}}),
+    ("ablate", {"synth": TINY_SYNTH, "model": TINY_MODEL, "grid": [1]}),
+    ("ablate", {"synth": TINY_SYNTH, "model": TINY_MODEL, "epochs": [1]}),
+    ("ablate", {"synth": TINY_SYNTH, "model": TINY_MODEL, "epochs": float("inf")}),
+    ("ablate", {"synth": TINY_SYNTH, "model": TINY_MODEL, "grid_seeds": 5}),
+    ("ablate", {"dataset_dir": 5, "model": TINY_MODEL}),
+], ids=["roi_range_int", "synth_list", "model_list", "grid_entry_int",
+        "epochs_list", "epochs_inf", "grid_seeds_int", "dataset_dir_int"])
+def test_wrong_typed_value_exits_1(tmp_path, capsys, command, doc):
+    cfg = write_config(tmp_path, dict(doc, out_dir=str(tmp_path / "out")))
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_top_level_weak_coverage_rejected(tmp_path, capsys, command):
+    doc = {"synth": TINY_SYNTH, "model": TINY_MODEL, "weak_coverage": 0.5,
+           "out_dir": str(tmp_path / "out")}
+    if command == "train":
+        doc["ablation"] = {"mode": "combined", "epochs": 0}
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg]) == 1
+    assert "weak_coverage" in capsys.readouterr().err

@@ -1,6 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 from fdcheck import central_diff_vec, max_rel_err
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from statseg.errors import InvalidConfigError, MalformedFileError, ShapeMismatchError
 from statseg.grid import GridShape, Image, Mask
@@ -58,6 +62,39 @@ def test_flatten_roundtrip_exact():
     again = ModelParams.from_flat(CFG, params.flatten())
     for name in params.tensors:
         assert np.array_equal(params.tensors[name], again.tensors[name])
+
+
+def test_tensors_are_views_of_flat():
+    params = init_params(CFG)
+    params.tensors["enc2.w"][1, 0, 2, 2] = 7.0
+    params.tensors["rec.b"][0] = -3.0
+    flat = params.flatten()
+    assert flat[-1] == -3.0
+    assert 7.0 in flat
+    assert np.array_equal(flat, np.concatenate([t.ravel() for t in params.tensors.values()]))
+
+
+def test_from_flat_copies_its_input():
+    vec = init_params(CFG).flatten()
+    params = ModelParams.from_flat(CFG, vec)
+    before = params.flatten()
+    vec[:] = 0.0
+    assert np.array_equal(params.flatten(), before)
+    params.flatten()[:] = 1.0
+    assert np.array_equal(params.flatten(), before)
+
+
+@pytest.mark.parametrize("bad", ["short", "long", "nan", "inf"])
+def test_from_flat_rejects_bad_vector(bad):
+    vec = init_params(CFG).flatten()
+    if bad == "short":
+        vec = vec[:-1]
+    elif bad == "long":
+        vec = np.append(vec, 0.0)
+    else:
+        vec[5] = np.nan if bad == "nan" else np.inf
+    with pytest.raises(ValueError):
+        ModelParams.from_flat(CFG, vec)
 
 
 def test_forward_shapes_and_determinism():
@@ -148,6 +185,51 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
     with pytest.raises(MalformedFileError):
         load_checkpoint(path)
+
+
+SMALL = ModelConfig(GridShape(8, 8), base_channels=1, seed=5)
+HEADER = "<8sIIIIIQ"
+SMALL_CKPT_BYTES = struct.calcsize(HEADER) + 8 * init_params(SMALL).n_params
+
+
+@pytest.mark.parametrize("field,value", [
+    ("base_channels", 0), ("height", 6), ("height", 0), ("payload", np.nan)])
+def test_checkpoint_bad_header_or_payload(tmp_path, field, value):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(SMALL), path)
+    raw = bytearray(path.read_bytes())
+    header = dict(zip(("magic", "version", "height", "width", "base_channels", "seed", "n"),
+                      struct.unpack_from(HEADER, raw)))
+    if field == "payload":
+        struct.pack_into("<d", raw, struct.calcsize(HEADER), value)
+    else:
+        header[field] = value
+        struct.pack_into(HEADER, raw, 0, *header.values())
+    path.write_bytes(bytes(raw))
+    with pytest.raises(MalformedFileError):
+        load_checkpoint(path)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, SMALL_CKPT_BYTES - 1)),
+    st.tuples(st.just("flip"), st.integers(0, 8 * SMALL_CKPT_BYTES - 1))))
+def test_checkpoint_corruption_loads_or_raises_malformed(tmp_path, edit):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(SMALL), path)
+    raw = bytearray(path.read_bytes())
+    assert len(raw) == SMALL_CKPT_BYTES
+    kind, k = edit
+    if kind == "truncate":
+        raw = raw[:k]
+    else:
+        raw[k // 8] ^= 1 << (k % 8)
+    path.write_bytes(bytes(raw))
+    try:
+        load_checkpoint(path)
+    except MalformedFileError:
+        pass
 
 
 def test_param_shapes_head_outputs_single_channel():

@@ -67,8 +67,7 @@ def test_optimizer_rejects_nonfinite():
     bad[0] = np.nan
     g = ModelParams.__new__(ModelParams)  # bypass finite check to exercise the guard
     g.config = cfg
-    g.tensors = ModelParams.from_flat(cfg, np.zeros(params.n_params)).tensors
-    g.tensors["enc1.w"].flat[0] = np.nan
+    g.flat = bad
     with pytest.raises(NonFiniteGradientError):
         optimizer_step(params, g, state)
 
