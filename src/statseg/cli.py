@@ -81,7 +81,7 @@ def _parse_synth(doc: dict, seed_override) -> data_mod.SynthConfig:
         "height": int, "width": int, "n_samples": int,
         "roi_fraction_range": lambda v: (float(v[0]), float(v[1])),
         "contrast": float, "noise_std": float, "background_level": float,
-        "weak_coverage": float, "seed": int,
+        "seed": int,
     }, "synth")
     if "height" not in fields or "width" not in fields or "n_samples" not in fields:
         raise ConfigFileError("synth: height, width and n_samples are required")
@@ -213,6 +213,11 @@ def cmd_ablate(args) -> int:
         grid = [cfg for seed in doc.get("grid_seeds", [args.seed or 0])
                 for cfg in default_grid(seed=seed, **options)]
     elif isinstance(grid_spec, list):
+        ignored = sorted(set(doc) & {"grid_seeds", "coverages", "epochs",
+                                     "batch_size", "learning_rate"})
+        if ignored:
+            raise ConfigFileError(f"ablate config: {ignored} apply only to the "
+                                  "default grid, not to an explicit 'grid'")
         grid = [_parse_ablation(entry, args.seed) for entry in grid_spec]
     else:
         raise ConfigFileError("grid must be \"default\" or a list of ablation configs")

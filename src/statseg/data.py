@@ -7,15 +7,17 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (AllSlicesEmptyError, EmptyStackError, InfeasibleROIError,
-                     InvalidConfigError, MissingPairError, ShapeMismatchError)
+from .errors import (AllSlicesEmptyError, EmptyMaskError, EmptyStackError,
+                     InfeasibleROIError, InvalidConfigError, MissingPairError,
+                     ShapeMismatchError)
 from .grid import GridShape, Image, Mask, foreground_count, summary_stat
-from .morphology import CROSS, StructuringElement, weak_mask
+# not called here: train() derives weak masks; perfbench's tracer wraps data.weak_mask
+from .morphology import weak_mask  # noqa: F401
 from .pgm import read_pgm, write_pgm
 
 _SLICE_RE = re.compile(r"^(?P<stem>.+)\.slice(?P<k>\d+)\.mask\.pgm$")
@@ -29,7 +31,6 @@ class SynthConfig:
     contrast: float = 0.5
     noise_std: float = 0.05
     background_level: float = 0.25
-    weak_coverage: float = 0.08
     seed: int = 0
 
     def __post_init__(self):
@@ -44,22 +45,26 @@ class SynthConfig:
             raise InvalidConfigError("noise_std must be non-negative")
         if not 0.0 < self.background_level < 1.0:
             raise InvalidConfigError("background_level must be in (0, 1)")
-        if not 0.0 < self.weak_coverage <= 1.0:
-            raise InvalidConfigError("weak_coverage must be in (0, 1]")
 
 
 @dataclass(frozen=True)
 class Sample:
+    """An image, its ground truth and summary statistic; `weak` is set by train()."""
+
     image: Image
     gt: Mask
-    weak: Mask
     stat: float
+    weak: Mask = None
 
     def __post_init__(self):
-        if not (self.image.shape == self.gt.shape == self.weak.shape):
+        if self.image.shape != self.gt.shape:
             raise ShapeMismatchError("sample grids must share one shape")
         if self.stat != summary_stat(self.gt):
             raise ValueError("stat must equal the ground-truth summary statistic")
+        if self.weak is None:
+            return
+        if self.weak.shape != self.gt.shape:
+            raise ShapeMismatchError("sample grids must share one shape")
         if foreground_count(self.weak) < 1:
             raise ValueError("weak mask must be non-empty")
         if np.any(self.weak.values > self.gt.values):
@@ -105,8 +110,7 @@ def _random_ellipse(rng, shape: GridShape, lo: float, hi: float) -> np.ndarray:
         f"no ellipse with pixel fraction in [{lo}, {hi}] fits a {h}x{w} grid")
 
 
-def generate_synthetic(config: SynthConfig,
-                       se: StructuringElement = CROSS) -> list:
+def generate_synthetic(config: SynthConfig) -> list:
     """Ellipse-on-flat-background samples, fully determined by config.seed."""
     rng = np.random.default_rng(config.seed)
     lo, hi = config.roi_fraction_range
@@ -117,9 +121,7 @@ def generate_synthetic(config: SynthConfig,
         img = img + config.noise_std * rng.standard_normal(gt_arr.shape)
         img = np.clip(img, 0.0, 1.0)
         gt = Mask(gt_arr)
-        samples.append(Sample(image=Image(img), gt=gt,
-                              weak=weak_mask(gt, config.weak_coverage, se),
-                              stat=summary_stat(gt)))
+        samples.append(Sample(image=Image(img), gt=gt, stat=summary_stat(gt)))
     return samples
 
 
@@ -151,12 +153,11 @@ def read_mask_pgm(path) -> Mask:
     return Mask((arr.astype(np.float64) >= 0.5 * maxval).astype(np.float64))
 
 
-def load_dataset(dir_path, weak_coverage: float = 0.08,
-                 se: StructuringElement = CROSS) -> list:
+def load_dataset(dir_path) -> list:
     """Load all `<stem>.img.pgm` / `<stem>.mask.pgm` pairs, sorted by stem.
 
-    Weak masks are generated on the fly at `weak_coverage`; pairs with an
-    all-zero mask raise EmptyMaskError rather than being skipped silently.
+    Pairs with an all-zero mask raise EmptyMaskError rather than being
+    skipped silently.
     """
     dir_path = Path(dir_path)
     imgs = sorted(dir_path.glob("*.img.pgm"))
@@ -174,9 +175,9 @@ def load_dataset(dir_path, weak_coverage: float = 0.08,
         if image.shape != gt.shape:
             raise ShapeMismatchError(
                 f"{stem}: image is {image.shape}, mask is {gt.shape}")
-        samples.append(Sample(image=image, gt=gt,
-                              weak=weak_mask(gt, weak_coverage, se),
-                              stat=summary_stat(gt)))
+        if foreground_count(gt) == 0:
+            raise EmptyMaskError(f"{mask_path}: mask has no foreground")
+        samples.append(Sample(image=image, gt=gt, stat=summary_stat(gt)))
     return samples
 
 
@@ -202,13 +203,11 @@ def standard_benchmark_config(seed: int = 0, n_samples: int = 200) -> SynthConfi
     """High-contrast ellipses: the regime where weak + statistics supervision works."""
     return SynthConfig(shape=GridShape(64, 64), n_samples=n_samples,
                        roi_fraction_range=(0.05, 0.2), contrast=0.5,
-                       noise_std=0.05, background_level=0.25,
-                       weak_coverage=0.08, seed=seed)
+                       noise_std=0.05, background_level=0.25, seed=seed)
 
 
 def zero_contrast_benchmark_config(seed: int = 0, n_samples: int = 200) -> SynthConfig:
     """Invisible ROIs: nothing anchors location, so statistics-only training degenerates."""
     return SynthConfig(shape=GridShape(64, 64), n_samples=n_samples,
                        roi_fraction_range=(0.05, 0.2), contrast=0.0,
-                       noise_std=0.0, background_level=0.25,
-                       weak_coverage=0.08, seed=seed)
+                       noise_std=0.0, background_level=0.25, seed=seed)

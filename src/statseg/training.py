@@ -1,8 +1,9 @@
 """Adam optimizer, training loop, and the ablation grid runner."""
 from __future__ import annotations
 
+import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -14,7 +15,14 @@ from .losses import LossReport, LossWeights, total_loss
 from .model import ModelConfig, ModelParams, _backward_batch, _forward_batch, init_params
 from .morphology import weak_mask
 
-MODES = ("stats_only", "weak_only", "combined", "fully_supervised")
+# mode -> loss weights; confidence and reconstruction stay on in every mode
+MODE_WEIGHTS = {
+    "stats_only": LossWeights(w_s=1.0, w_ws=0.0, w_full=0.0),
+    "weak_only": LossWeights(w_s=0.0, w_ws=1.0, w_full=0.0),
+    "combined": LossWeights(w_s=1.0, w_ws=1.0, w_full=0.0),
+    "fully_supervised": LossWeights(w_s=0.0, w_ws=0.0, w_full=1.0),
+}
+MODES = tuple(MODE_WEIGHTS)
 
 
 @dataclass
@@ -55,23 +63,15 @@ def optimizer_step(params: ModelParams, grads: ModelParams,
 
 
 def weights_for_mode(mode: str) -> LossWeights:
-    """Confidence and reconstruction stay on in every mode."""
-    if mode == "stats_only":
-        return LossWeights(w_s=1.0, w_ws=0.0, w_full=0.0)
-    if mode == "weak_only":
-        return LossWeights(w_s=0.0, w_ws=1.0, w_full=0.0)
-    if mode == "combined":
-        return LossWeights(w_s=1.0, w_ws=1.0, w_full=0.0)
-    if mode == "fully_supervised":
-        return LossWeights(w_s=0.0, w_ws=0.0, w_full=1.0)
-    raise InvalidConfigError(f"unknown mode {mode!r}")
+    if mode not in MODE_WEIGHTS:
+        raise InvalidConfigError(f"unknown mode {mode!r}")
+    return MODE_WEIGHTS[mode]
 
 
 @dataclass(frozen=True)
 class AblationConfig:
     mode: str
     weak_coverage: float = 0.08
-    weights: LossWeights = None
     epochs: int = 30
     batch_size: int = 8
     learning_rate: float = 1e-3
@@ -80,25 +80,18 @@ class AblationConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise InvalidConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.weights is None:
-            object.__setattr__(self, "weights", weights_for_mode(self.mode))
-        w = self.weights
-        bad = ((self.mode == "stats_only" and (w.w_ws != 0 or w.w_full != 0))
-               or (self.mode == "weak_only" and (w.w_s != 0 or w.w_full != 0))
-               or (self.mode == "combined" and w.w_full != 0)
-               or (self.mode == "fully_supervised" and (w.w_s != 0 or w.w_ws != 0)))
-        if bad:
-            raise InvalidConfigError(f"weights {w} inconsistent with mode {self.mode!r}")
         if not 0.0 < self.weak_coverage <= 1.0:
             raise InvalidConfigError("weak_coverage must be in (0, 1]")
         if self.epochs < 0 or self.batch_size < 1:
             raise InvalidConfigError("epochs must be >= 0 and batch_size >= 1")
 
+    @property
+    def weights(self) -> LossWeights:
+        return weights_for_mode(self.mode)
+
     def as_dict(self) -> dict:
         return {"mode": self.mode, "weak_coverage": self.weak_coverage,
-                "weights": {"w_c": self.weights.w_c, "w_r": self.weights.w_r,
-                            "w_s": self.weights.w_s, "w_ws": self.weights.w_ws,
-                            "w_full": self.weights.w_full},
+                "weights": asdict(self.weights),
                 "epochs": self.epochs, "batch_size": self.batch_size,
                 "learning_rate": self.learning_rate, "seed": self.seed}
 
@@ -207,8 +200,8 @@ def train(dataset, config: AblationConfig, model_config: ModelConfig) -> RunReco
     else:
         train_idx, eval_idx = perm[:n - n_eval], perm[n - n_eval:]
 
-    # one fixed annotation effort per run: weak masks re-derived once at the
-    # configured coverage, never re-eroded during training
+    # one fixed annotation effort per run: the only place weak masks are
+    # derived, once at the configured coverage, never re-eroded during training
     dataset = [replace(s, weak=weak_mask(s.gt, config.weak_coverage))
                for s in dataset]
 
@@ -271,10 +264,16 @@ def default_grid(coverages=(0.04, 0.08, 0.12), seed: int = 0,
 
 def run_ablation_grid(dataset, model_config: ModelConfig, grid,
                       jobs: int = 1) -> list:
-    """One RunRecord per config; configs sharing a seed share the data split."""
-    if jobs > 1:
+    """One RunRecord per config; configs sharing a seed share the data split.
+
+    Uses min(jobs, configs, CPUs) worker processes, and none when that is 1.
+    """
+    if jobs < 1:
+        raise InvalidConfigError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, len(grid), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(train, dataset, cfg, model_config) for cfg in grid]
             return [f.result() for f in futures]
     return [train(dataset, cfg, model_config) for cfg in grid]

@@ -243,3 +243,34 @@ def test_top_level_weak_coverage_rejected(tmp_path, capsys, command):
     cfg = write_config(tmp_path, doc)
     assert main([command, "--config", cfg]) == 1
     assert "weak_coverage" in capsys.readouterr().err
+
+
+def test_synth_weak_coverage_key_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, synth_doc(tmp_path / "ds", weak_coverage=0.08))
+    assert main(["synth", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "weak_coverage" in err[0]
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("epochs", 50), ("coverages", [0.5]), ("grid_seeds", [9]),
+    ("batch_size", 2), ("learning_rate", 0.1)])
+def test_default_grid_keys_rejected_next_to_explicit_grid(tmp_path, capsys, key, value):
+    doc = {"synth": TINY_SYNTH, "model": TINY_MODEL, key: value,
+           "grid": [{"mode": "combined", "epochs": 0}], "out_dir": str(tmp_path / "out")}
+    cfg = write_config(tmp_path, doc)
+    assert main(["ablate", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_ablate_jobs_below_one_exits_1(tmp_path, capsys, jobs):
+    doc = {"synth": TINY_SYNTH, "model": TINY_MODEL,
+           "grid": [{"mode": "combined", "epochs": 0}], "out_dir": str(tmp_path / "out")}
+    cfg = write_config(tmp_path, doc)
+    assert main(["ablate", "--config", cfg, "--jobs", jobs]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "jobs" in err[0]
+    assert not (tmp_path / "out").exists()

@@ -46,7 +46,6 @@ def test_generate_deterministic():
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.image.values, sb.image.values)
         assert np.array_equal(sa.gt.values, sb.gt.values)
-        assert np.array_equal(sa.weak.values, sb.weak.values)
 
 
 def test_generate_fraction_bounds():
@@ -129,13 +128,12 @@ def test_save_load_roundtrip(tmp_path):
     samples = generate_synthetic(small_config(n_samples=3))
     for k, s in enumerate(samples):
         save_sample(s, tmp_path, f"{k:04d}")
-    loaded = load_dataset(tmp_path, weak_coverage=small_config().weak_coverage)
+    loaded = load_dataset(tmp_path)
     assert len(loaded) == 3
     for orig, back in zip(samples, loaded):
         quantized = np.rint(orig.image.values * 255.0) / 255.0
         assert np.array_equal(back.image.values, quantized)
         assert np.array_equal(back.gt.values, orig.gt.values)
-        assert np.array_equal(back.weak.values, orig.weak.values)
 
 
 def test_load_empty_dir(tmp_path):
@@ -157,7 +155,7 @@ def test_load_orphan_mask(tmp_path):
 def test_load_all_zero_mask_rejected(tmp_path):
     write_pgm(tmp_path / "a.img.pgm", np.full((2, 2), 100, dtype=np.uint8))
     write_pgm(tmp_path / "a.mask.pgm", np.zeros((2, 2), dtype=np.uint8))
-    with pytest.raises(EmptyMaskError):
+    with pytest.raises(EmptyMaskError, match=r"a\.mask\.pgm"):
         load_dataset(tmp_path)
 
 

@@ -1,11 +1,16 @@
+import concurrent.futures
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from statseg import training
 from statseg.data import SynthConfig, generate_synthetic
 from statseg.errors import InvalidConfigError, NonFiniteGradientError
 from statseg.grid import GridShape
 from statseg.losses import LossWeights
 from statseg.model import ModelConfig, ModelParams, init_params
+from statseg.morphology import weak_mask
 from statseg.training import (AblationConfig, OptimizerState, default_grid,
                               optimizer_step, run_ablation_grid, train,
                               weights_for_mode)
@@ -82,10 +87,8 @@ def test_weights_for_mode():
 
 
 def test_ablation_config_mode_weight_invariants():
-    with pytest.raises(InvalidConfigError):
-        AblationConfig(mode="stats_only", weights=LossWeights(1, 1, 1, 1, 0))
-    with pytest.raises(InvalidConfigError):
-        AblationConfig(mode="fully_supervised", weights=LossWeights(1, 1, 1, 0, 1))
+    for mode in ("stats_only", "weak_only", "combined", "fully_supervised"):
+        assert AblationConfig(mode=mode).weights == weights_for_mode(mode)
     with pytest.raises(InvalidConfigError):
         AblationConfig(mode="unknown")
 
@@ -136,3 +139,60 @@ def test_grid_rerun_identical():
     b = run_ablation_grid(tiny_dataset(), MODEL, grid)[0]
     assert a.final_iou == b.final_iou
     assert np.array_equal(a.final_params_flat, b.final_params_flat)
+
+
+def test_train_derives_weak_masks_itself():
+    plain = tiny_dataset()
+    carried = [replace(s, weak=s.gt) for s in plain]  # any other valid weak mask
+    cfg = tiny_config(epochs=1)
+    a = train(plain, cfg, MODEL)
+    b = train(carried, cfg, MODEL)
+    assert all(s.weak is None for s in plain)
+    assert np.array_equal(a.final_params_flat, b.final_params_flat)
+    assert a.overlays
+    for _, gt, weak, _ in a.overlays:
+        assert np.array_equal(weak.values, weak_mask(gt, cfg.weak_coverage).values)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs calls inline."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        RecordingPool.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("jobs,n_configs,cpus,pool_workers", [
+    (8, 2, 4, [2]),   # bounded by the grid
+    (3, 6, 2, [2]),   # bounded by the CPUs
+    (3, 6, 8, [3]),   # bounded by jobs
+    (4, 1, 8, []),    # one config: no pool
+    (1, 6, 8, []),    # one job: no pool
+    (4, 6, None, []),  # CPU count unknown: no pool
+])
+def test_run_ablation_grid_bounds_workers(monkeypatch, jobs, n_configs, cpus, pool_workers):
+    monkeypatch.setattr(RecordingPool, "made", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(training.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(training, "train", lambda dataset, cfg, model_config: cfg.seed)
+    grid = [tiny_config(seed=k) for k in range(n_configs)]
+    assert run_ablation_grid([], MODEL, grid, jobs=jobs) == list(range(n_configs))
+    assert RecordingPool.made == pool_workers
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_run_ablation_grid_rejects_jobs_below_one(jobs):
+    with pytest.raises(InvalidConfigError, match="jobs"):
+        run_ablation_grid([], MODEL, [tiny_config()], jobs=jobs)
