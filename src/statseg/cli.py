@@ -195,6 +195,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    if args.jobs < 1:  # before the dataset is built or loaded
+        raise InvalidConfigError(f"jobs must be >= 1, got {args.jobs}")
     doc = _take(_load_json(args.config), {
         "synth": _as_is, "dataset_dir": Path, "model": _as_is, "grid": _as_is,
         "grid_seeds": _list_of(int), "epochs": int, "batch_size": int,

@@ -23,17 +23,16 @@ def binarize(pred, threshold: float = DEFAULT_THRESHOLD) -> Mask:
     return Mask((as_array(pred) >= threshold).astype(np.float64))
 
 
-def iou(pred: Mask, gt: Mask) -> float:
-    """Intersection over union; empty vs empty is 1.0 by convention."""
+def iou(pred, gt):
+    """Intersection over union per grid of (..., H, W) masks; empty vs empty is 1.0."""
     a = as_array(pred)
     b = as_array(gt)
     if a.shape != b.shape:
         raise ShapeMismatchError(f"mask shapes differ: {a.shape} vs {b.shape}")
-    inter = float((a * b).sum())
-    union = float(a.sum() + b.sum()) - inter
-    if union == 0.0:
-        return 1.0
-    return inter / union
+    inter = (a * b).sum(axis=(-2, -1))
+    union = a.sum(axis=(-2, -1)) + b.sum(axis=(-2, -1)) - inter
+    # counts are whole numbers: where union is 0, inter is 0 and this reads 1/1
+    return (inter + (union == 0.0)) / np.maximum(union, 1.0)
 
 
 @dataclass(frozen=True)
@@ -43,12 +42,12 @@ class DegeneracyReport:
     std: float
 
 
-def detect_degenerate(pred, target_ratio: float) -> DegeneracyReport:
-    """Flag near-constant predictions whose mean sits near the target ratio."""
+def detect_degenerate(pred, target_ratio) -> DegeneracyReport:
+    """Flag near-constant (..., H, W) predictions whose mean sits near the target ratio."""
     p = as_array(pred)
-    mean = float(p.mean())
-    std = float(p.std())
-    flagged = std < DEGENERATE_STD and abs(mean - target_ratio) < DEGENERATE_MEAN_TOL
+    mean = p.mean(axis=(-2, -1))
+    std = p.std(axis=(-2, -1))
+    flagged = (std < DEGENERATE_STD) & (np.abs(mean - target_ratio) < DEGENERATE_MEAN_TOL)
     return DegeneracyReport(flagged=flagged, mean=mean, std=std)
 
 
@@ -67,16 +66,16 @@ def evaluate_predictions(preds, samples, threshold: float = DEFAULT_THRESHOLD) -
     """Score soft predictions against their samples' ground truth."""
     if len(preds) != len(samples):
         raise ValueError("one prediction per sample required")
-    ious = tuple(iou(binarize(p, threshold), s.gt) for p, s in zip(preds, samples))
-    flags = [detect_degenerate(p, s.stat).flagged for p, s in zip(preds, samples)]
-    pooled = np.concatenate([as_array(p).ravel() for p in preds])
-    frac = sum(flags) / len(flags) if flags else 0.0
-    return EvalReport(ious=ious,
-                      mean_iou=float(np.mean(ious)) if ious else 0.0,
+    p = np.stack([as_array(pred) for pred in preds])
+    ious = iou(p >= threshold, np.stack([s.gt.values for s in samples]))
+    flags = detect_degenerate(p, np.array([s.stat for s in samples])).flagged
+    frac = float(flags.mean())
+    return EvalReport(ious=tuple(ious.tolist()),
+                      mean_iou=float(ious.mean()),
                       degenerate=frac > 0.5,
                       degenerate_fraction=frac,
-                      pred_mean=float(pooled.mean()),
-                      pred_std=float(pooled.std()),
+                      pred_mean=float(p.mean()),
+                      pred_std=float(p.std()),
                       threshold=threshold)
 
 

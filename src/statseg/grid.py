@@ -26,73 +26,68 @@ class GridShape:
         return self.height * self.width
 
 
-def _as_grid(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D grid, got ndim={arr.ndim}")
-    if arr.size == 0:
-        raise ValueError("grid must be non-empty")
-    return arr
+class Grid:
+    """Base of the grid types: a non-empty 2-D float64 array, read-only once set."""
+
+    __slots__ = ("values",)
+
+    def _set(self, values, check):
+        arr = np.array(values, dtype=np.float64)
+        if arr.ndim != 2:
+            raise ValueError(f"expected a 2-D grid, got ndim={arr.ndim}")
+        if arr.size == 0:
+            raise ValueError("grid must be non-empty")
+        check(arr, type(self).__name__)
+        arr.flags.writeable = False
+        self.values = arr
+
+    @property
+    def shape(self) -> GridShape:
+        return GridShape(*self.values.shape)
 
 
-class Image:
+def _in_unit_interval(arr: np.ndarray, name: str):
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} values must be finite")
+    if arr.min() < 0.0 or arr.max() > 1.0:
+        raise ValueError(f"{name} values must lie in [0, 1]")
+
+
+def _binary(arr: np.ndarray, name: str):
+    if not np.all((arr == 0.0) | (arr == 1.0)):
+        raise ValueError(f"{name} values must be exactly 0 or 1")
+
+
+class Image(Grid):
     """Grayscale intensities in [0, 1]."""
 
-    __slots__ = ("values",)
+    __slots__ = ()
 
     def __init__(self, values):
-        arr = _as_grid(values)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("image values must be finite")
-        if arr.min() < 0.0 or arr.max() > 1.0:
-            raise ValueError("image values must lie in [0, 1]")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def shape(self) -> GridShape:
-        return GridShape(*self.values.shape)
+        self._set(values, _in_unit_interval)
 
 
-class Mask:
+class Mask(Grid):
     """Binary grid; every value exactly 0 or 1."""
 
-    __slots__ = ("values",)
+    __slots__ = ()
 
     def __init__(self, values):
-        arr = _as_grid(values)
-        if not np.all((arr == 0.0) | (arr == 1.0)):
-            raise ValueError("mask values must be exactly 0 or 1")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def shape(self) -> GridShape:
-        return GridShape(*self.values.shape)
+        self._set(values, _binary)
 
 
-class SoftMask:
+class SoftMask(Grid):
     """Per-pixel foreground probabilities in [0, 1]."""
 
-    __slots__ = ("values",)
+    __slots__ = ()
 
     def __init__(self, values):
-        arr = _as_grid(values)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("soft mask values must be finite")
-        if arr.min() < 0.0 or arr.max() > 1.0:
-            raise ValueError("soft mask values must lie in [0, 1]")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def shape(self) -> GridShape:
-        return GridShape(*self.values.shape)
+        self._set(values, _in_unit_interval)
 
 
 def as_array(grid) -> np.ndarray:
-    """Accept a grid type or a bare 2-D array and return the float array."""
-    if isinstance(grid, (Image, Mask, SoftMask)):
+    """Accept a grid type or a bare array and return the float array."""
+    if isinstance(grid, Grid):
         return grid.values
     return np.asarray(grid, dtype=np.float64)
 

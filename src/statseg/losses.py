@@ -1,8 +1,8 @@
 """The four training losses plus the fully supervised baseline.
 
-Every loss returns (scalar, gradient grid w.r.t. the predicted quantity).
-All losses use MEAN reduction over pixels so magnitudes are comparable
-across image sizes. Logs are clamped at EPS = 1e-7.
+Every loss takes (..., H, W) grids and returns (value per grid, gradient
+grid w.r.t. the predicted quantity). Values are MEANS over each grid's pixels
+so magnitudes are comparable across image sizes. Logs are clamped at EPS = 1e-7.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class LossReport:
-    """Per-term values (0.0 for inactive terms) and the weighted total."""
+    """Per-term values (0.0 for inactive terms) and the weighted total, per grid."""
 
     l_c: float = 0.0
     l_r: float = 0.0
@@ -49,38 +49,41 @@ def _check_shapes(a: np.ndarray, b: np.ndarray):
         raise ShapeMismatchError(f"grid shapes differ: {a.shape} vs {b.shape}")
 
 
-def confidence_loss(pred) -> tuple[float, np.ndarray]:
+def _n_pixels(a: np.ndarray) -> int:
+    return a.shape[-2] * a.shape[-1]
+
+
+def confidence_loss(pred) -> tuple[np.ndarray, np.ndarray]:
     """0.25 - mean((0.5 - pred)^2); maximal when every pixel sits at 0.5."""
     p = as_array(pred)
-    n = p.size
-    loss = 0.25 - float(np.mean((0.5 - p) ** 2))
-    grad = 2.0 * (0.5 - p) / n
+    loss = 0.25 - np.mean((0.5 - p) ** 2, axis=(-2, -1))
+    grad = 2.0 * (0.5 - p) / _n_pixels(p)
     return loss, grad
 
 
-def reconstruction_loss(image, recon) -> tuple[float, np.ndarray]:
+def reconstruction_loss(image, recon) -> tuple[np.ndarray, np.ndarray]:
     """Mean absolute error between the input image and its reconstruction."""
     x = as_array(image)
     y = as_array(recon)
     _check_shapes(x, y)
-    loss = float(np.mean(np.abs(x - y)))
-    grad = np.sign(y - x) / x.size
+    loss = np.mean(np.abs(x - y), axis=(-2, -1))
+    grad = np.sign(y - x) / _n_pixels(x)
     return loss, grad
 
 
-def stats_loss(gt, pred) -> tuple[float, np.ndarray]:
+def stats_loss(gt, pred) -> tuple[np.ndarray, np.ndarray]:
     """L1 distance between the ground-truth ROI fraction and the predicted one."""
     g = as_array(gt)
     p = as_array(pred)
     _check_shapes(g, p)
-    m_gt = float(g.mean())
-    m_pred = float(p.mean())
-    loss = abs(m_gt - m_pred)
-    grad = np.full_like(p, np.sign(m_pred - m_gt) / p.size)
-    return loss, grad
+    m_gt = g.mean(axis=(-2, -1))
+    m_pred = p.mean(axis=(-2, -1))
+    loss = np.abs(m_gt - m_pred)
+    grad = np.sign(m_pred - m_gt)[..., None, None] / _n_pixels(p)
+    return loss, np.broadcast_to(grad, p.shape).copy()
 
 
-def weak_supervision_loss(weak, pred) -> tuple[float, np.ndarray]:
+def weak_supervision_loss(weak, pred) -> tuple[np.ndarray, np.ndarray]:
     """Masked cross-entropy over the weak foreground pixels only.
 
     Pixels with weak == 0 contribute exactly 0 (the product weak*pred is
@@ -92,23 +95,23 @@ def weak_supervision_loss(weak, pred) -> tuple[float, np.ndarray]:
     _check_shapes(w, p)
     if not np.all((w == 0.0) | (w == 1.0)):
         raise NonBinaryWeakMaskError("weak mask must be binary")
-    n = p.size
+    n = _n_pixels(p)
     pc = np.clip(p, EPS, 1.0 - EPS)
     on = w == 1.0
-    loss = float(np.where(on, -np.log(pc), 0.0).mean())
+    loss = np.where(on, -np.log(pc), 0.0).mean(axis=(-2, -1))
     active = on & (p > EPS) & (p < 1.0 - EPS)
     grad = np.where(active, -1.0 / (pc * n), 0.0)
     return loss, grad
 
 
-def full_supervision_loss(gt, pred) -> tuple[float, np.ndarray]:
+def full_supervision_loss(gt, pred) -> tuple[np.ndarray, np.ndarray]:
     """Standard binary cross-entropy against the complete ground-truth mask."""
     g = as_array(gt)
     p = as_array(pred)
     _check_shapes(g, p)
-    n = p.size
+    n = _n_pixels(p)
     pc = np.clip(p, EPS, 1.0 - EPS)
-    loss = float(np.mean(-(g * np.log(pc) + (1.0 - g) * np.log(1.0 - pc))))
+    loss = np.mean(-(g * np.log(pc) + (1.0 - g) * np.log(1.0 - pc)), axis=(-2, -1))
     inside = (p > EPS) & (p < 1.0 - EPS)
     grad = np.where(inside, (-g / pc + (1.0 - g) / (1.0 - pc)) / n, 0.0)
     return loss, grad
@@ -119,13 +122,14 @@ def total_loss(image, gt, weak, pred, recon,
                ) -> tuple[LossReport, np.ndarray, np.ndarray]:
     """Weighted sum of the active terms.
 
-    Returns (report, d_pred, d_recon). Terms with weight 0 are skipped and
-    their inputs may be None.
+    Returns (report, d_pred, d_recon). Terms with weight 0 are skipped, read
+    0.0 for every grid, and their inputs may be None.
     """
     p = as_array(pred)
     d_pred = np.zeros_like(p)
     d_recon = np.zeros_like(p)
-    l_c = l_r = l_s = l_ws = l_full = 0.0
+    # [()] turns the 0-d zeros of a single grid into an np.float64
+    l_c = l_r = l_s = l_ws = l_full = np.zeros(p.shape[:-2])[()]
     if weights.w_c > 0:
         l_c, g = confidence_loss(p)
         d_pred += weights.w_c * g

@@ -3,14 +3,13 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .errors import (InvalidConfigError, NonFiniteGradientError,
                      NonFiniteLossError)
 from .evaluation import binarize, evaluate_predictions
-from .grid import SoftMask
 from .losses import LossReport, LossWeights, total_loss
 from .model import ModelConfig, ModelParams, _backward_batch, _forward_batch, init_params
 from .morphology import weak_mask
@@ -84,6 +83,9 @@ class AblationConfig:
             raise InvalidConfigError("weak_coverage must be in (0, 1]")
         if self.epochs < 0 or self.batch_size < 1:
             raise InvalidConfigError("epochs must be >= 0 and batch_size >= 1")
+        if not 0.0 <= self.learning_rate < float("inf"):
+            raise InvalidConfigError(
+                f"learning_rate must be finite and >= 0, got {self.learning_rate}")
 
     @property
     def weights(self) -> LossWeights:
@@ -132,53 +134,50 @@ class RunRecord:
                 "config": self.config}
 
 
-def _stack_images(samples, idx) -> np.ndarray:
-    return np.stack([samples[i].image.values for i in idx])[:, None, :, :]
+def _stack(samples, idx, name: str) -> np.ndarray:
+    """(B, H, W) array of one grid field of the samples at idx."""
+    return np.stack([getattr(samples[i], name).values for i in idx])
 
 
-def _batch_losses(samples, idx, pred_b, recon_b, weights):
-    """Per-sample total_loss over a batch; gradients already divided by batch size."""
+def _batch_losses(samples, idx, x, pred_b, recon_b, weights):
+    """One total_loss over a batch; gradients already divided by batch size."""
+    rep, d_pred, d_recon = total_loss(x[:, 0], _stack(samples, idx, "gt"),
+                                      _stack(samples, idx, "weak"),
+                                      pred_b[:, 0], recon_b[:, 0], weights)
+    bad = np.flatnonzero(~np.isfinite(rep.total))
+    if bad.size:
+        k = bad[0]
+        terms = ", ".join(f"{f.name}={getattr(rep, f.name)[k]}" for f in fields(LossReport))
+        raise NonFiniteLossError(f"non-finite loss on sample {idx[k]}: {terms}")
     bsz = len(idx)
-    d_pred = np.zeros_like(pred_b)
-    d_recon = np.zeros_like(recon_b)
-    reports = []
-    for k, i in enumerate(idx):
-        s = samples[i]
-        rep, gp, gr = total_loss(s.image, s.gt, s.weak,
-                                 pred_b[k, 0], recon_b[k, 0], weights)
-        if not np.isfinite(rep.total):
-            raise NonFiniteLossError(f"non-finite loss on sample {i}: {rep}")
-        reports.append(rep)
-        d_pred[k, 0] = gp / bsz
-        d_recon[k, 0] = gr / bsz
-    return reports, d_pred, d_recon
+    return rep, d_pred[:, None] / bsz, d_recon[:, None] / bsz
 
 
 def _mean_report(reports) -> LossReport:
-    n = len(reports)
-    return LossReport(
-        l_c=sum(r.l_c for r in reports) / n, l_r=sum(r.l_r for r in reports) / n,
-        l_s=sum(r.l_s for r in reports) / n, l_ws=sum(r.l_ws for r in reports) / n,
-        l_full=sum(r.l_full for r in reports) / n,
-        total=sum(r.total for r in reports) / n)
+    """Each term's mean over every sample of a list of batch reports."""
+    per_sample = {f.name: np.concatenate([getattr(r, f.name) for r in reports]).tolist()
+                  for f in fields(LossReport)}
+    # Python's left-to-right sum, so the mean does not depend on the batching
+    return LossReport(**{name: sum(v) / len(v) for name, v in per_sample.items()})
 
 
 def _mean_total(params, samples, idx, weights, batch_size) -> float:
     reports = []
     for start in range(0, len(idx), batch_size):
         chunk = idx[start:start + batch_size]
-        pred_b, recon_b, _ = _forward_batch(params, _stack_images(samples, chunk))
-        reps, _, _ = _batch_losses(samples, chunk, pred_b, recon_b, weights)
-        reports.extend(reps)
+        x = _stack(samples, chunk, "image")[:, None]
+        pred_b, recon_b, _ = _forward_batch(params, x)
+        reports.append(_batch_losses(samples, chunk, x, pred_b, recon_b, weights)[0])
     return _mean_report(reports).total
 
 
 def _eval_predictions(params, samples, idx, batch_size=16):
+    """(H, W) prediction arrays of the samples at idx, in order."""
     preds = []
     for start in range(0, len(idx), batch_size):
         chunk = idx[start:start + batch_size]
-        pred_b, _, _ = _forward_batch(params, _stack_images(samples, chunk))
-        preds.extend(SoftMask(pred_b[k, 0]) for k in range(len(chunk)))
+        pred_b, _, _ = _forward_batch(params, _stack(samples, chunk, "image")[:, None])
+        preds.extend(pred_b[:, 0])
     return preds
 
 
@@ -217,10 +216,10 @@ def train(dataset, config: AblationConfig, model_config: ModelConfig) -> RunReco
         epoch_reports = []
         for start in range(0, len(order), config.batch_size):
             chunk = order[start:start + config.batch_size]
-            x = _stack_images(dataset, chunk)
+            x = _stack(dataset, chunk, "image")[:, None]
             pred_b, recon_b, cache = _forward_batch(params, x)
-            reps, d_pred, d_recon = _batch_losses(dataset, chunk, pred_b, recon_b, weights)
-            epoch_reports.extend(reps)
+            rep, d_pred, d_recon = _batch_losses(dataset, chunk, x, pred_b, recon_b, weights)
+            epoch_reports.append(rep)
             grads = _backward_batch(params, cache, d_pred, d_recon)
             params, state = optimizer_step(params, grads, state)
         epoch_losses.append(_mean_report(epoch_reports))

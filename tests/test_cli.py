@@ -274,3 +274,38 @@ def test_ablate_jobs_below_one_exits_1(tmp_path, capsys, jobs):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "jobs" in err[0]
     assert not (tmp_path / "out").exists()
+
+
+def test_ablate_jobs_checked_before_the_dataset(tmp_path, capsys):
+    doc = {"dataset_dir": str(tmp_path / "missing"), "model": TINY_MODEL,
+           "out_dir": str(tmp_path / "out")}
+    cfg = write_config(tmp_path, doc)
+    assert main(["ablate", "--config", cfg, "--jobs", "0"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "jobs" in err[0] and "missing" not in err[0]
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("lr", [float("inf"), float("nan"), -1.0])
+def test_bad_learning_rate_exits_1(tmp_path, capsys, command, lr):
+    doc = {"synth": TINY_SYNTH, "model": TINY_MODEL, "out_dir": str(tmp_path / "out")}
+    if command == "train":
+        doc["ablation"] = {"mode": "combined", "epochs": 1, "learning_rate": lr}
+    else:
+        doc.update(epochs=1, learning_rate=lr)
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "learning_rate" in err[0]
+
+
+def test_train_nonfinite_loss_exits_3(tmp_path, capsys):
+    doc = {"synth": dict(TINY_SYNTH, n_samples=6, seed=1),
+           "model": dict(TINY_MODEL, base_channels=2, seed=1),
+           "ablation": {"mode": "combined", "epochs": 1, "batch_size": 2,
+                        "learning_rate": 1e300, "seed": 1},
+           "out_dir": str(tmp_path / "out")}
+    cfg = write_config(tmp_path, doc)
+    assert main(["train", "--config", cfg]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: non-finite loss")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from statseg.errors import NonBinaryWeakMaskError, ShapeMismatchError
+from statseg.evaluation import detect_degenerate, iou
 from statseg.grid import Mask, SoftMask, summary_stat
 from statseg.losses import (EPS, LossWeights, confidence_loss,
                             full_supervision_loss, reconstruction_loss,
@@ -206,3 +208,31 @@ def test_total_loss_linear_in_weights():
 def test_losses_accept_grid_types():
     pred = SoftMask(np.full((2, 2), 0.5))
     assert confidence_loss(pred)[0] == pytest.approx(0.25)
+
+
+# --- a (B, H, W) batch is the per-grid calls, bit for bit ---
+
+ALL_TERMS = LossWeights(w_c=0.7, w_r=1.3, w_s=2.0, w_ws=0.5, w_full=0.25)
+
+
+def _total_loss_outputs(image, recon, gt, weak, pred, weights):
+    rep, d_pred, d_recon = total_loss(image, gt, weak, pred, recon, weights)
+    return astuple(rep) + (d_pred, d_recon)
+
+
+@pytest.mark.parametrize("outputs", [
+    lambda i, r, g, w, p: _total_loss_outputs(i, r, g, w, p, ALL_TERMS),
+    lambda i, r, g, w, p: _total_loss_outputs(i, r, g, w, p, LossWeights(w_s=0.0, w_ws=0.0)),
+    lambda i, r, g, w, p: (iou(p >= 0.5, g),),
+    lambda i, r, g, w, p: astuple(detect_degenerate(p, g.mean(axis=(-2, -1)))),
+], ids=["total_loss", "total_loss_two_terms", "iou", "detect_degenerate"])
+def test_batched_call_equals_per_grid_calls(outputs):
+    grids = [np.stack(field) for field in zip(*(rand_inputs(s, (6, 5)) for s in range(4)))]
+    image, recon, gt, weak, pred = grids
+    gt[1] = weak[1] = 0.0            # empty vs empty IoU
+    pred[1] = 0.2
+    pred[2] = gt[2].mean()           # flagged degenerate
+    batched = outputs(*grids)
+    for k in range(4):
+        for b, g in zip(batched, outputs(*(a[k] for a in grids)), strict=True):
+            assert np.array_equal(b[k], g)

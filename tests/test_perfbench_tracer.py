@@ -36,3 +36,23 @@ def test_tracer_installs_and_restores_cleanly():
     finally:
         tracer.restore()
     assert tr.leftover_wrappers(mods) == []
+
+
+def test_tracer_records_a_training_run():
+    """A traced name that a refactor left in place but no longer calls shows as 0 calls."""
+    tr = _load_tracer()
+    mods = {name: importlib.import_module(f"statseg.{name}") for name in _traced_module_names()}
+    data, grid, model, training = mods["data"], mods["grid"], mods["model"], mods["training"]
+    samples = data.generate_synthetic(data.SynthConfig(grid.GridShape(8, 8), n_samples=4, seed=0))
+    tracer = tr.Tracer()
+    try:
+        tr.install(tracer, mods)
+        training.train(samples, training.AblationConfig(mode="combined", epochs=1, batch_size=2),
+                       model.ModelConfig(grid.GridShape(8, 8), base_channels=2))
+    finally:
+        tracer.restore()
+    assert tr.leftover_wrappers(mods) == []
+    for span in ("losses.total_loss", "training.loss_pass", "training.eval_pass",
+                 "evaluation.evaluate", "grid.construct", "morphology.weak_mask",
+                 "model.forward_batch", "training.adam"):
+        assert tracer.stats.get(span, [0])[0] > 0, span

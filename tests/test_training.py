@@ -6,7 +6,8 @@ import pytest
 
 from statseg import training
 from statseg.data import SynthConfig, generate_synthetic
-from statseg.errors import InvalidConfigError, NonFiniteGradientError
+from statseg.errors import (InvalidConfigError, NonFiniteGradientError,
+                            NonFiniteLossError)
 from statseg.grid import GridShape
 from statseg.losses import LossWeights
 from statseg.model import ModelConfig, ModelParams, init_params
@@ -91,6 +92,19 @@ def test_ablation_config_mode_weight_invariants():
         assert AblationConfig(mode=mode).weights == weights_for_mode(mode)
     with pytest.raises(InvalidConfigError):
         AblationConfig(mode="unknown")
+
+
+def test_batch_losses_names_the_nonfinite_sample():
+    dataset = [replace(s, weak=weak_mask(s.gt, 0.08)) for s in tiny_dataset(5)]
+    idx = np.array([4, 2, 0])
+    rng = np.random.default_rng(0)
+    x = np.stack([dataset[i].image.values for i in idx])[:, None]
+    pred_b = rng.uniform(0.1, 0.9, x.shape)
+    recon_b = rng.uniform(0.1, 0.9, x.shape)
+    training._batch_losses(dataset, idx, x, pred_b, recon_b, weights_for_mode("combined"))
+    pred_b[1, 0, 3, 3] = np.nan
+    with pytest.raises(NonFiniteLossError, match=r"on sample 2: .*total=nan"):
+        training._batch_losses(dataset, idx, x, pred_b, recon_b, weights_for_mode("combined"))
 
 
 def test_train_zero_epochs():
