@@ -143,23 +143,46 @@ def _conv2d(x, w, b, stride=1, pad=1):
 
 
 def _conv2d_backward(dy, x, w, stride=1, pad=1):
+    """Shifted-GEMM backward (Chellapilla, Puri & Simard 2006), no im2col copy.
+
+    The padded input is split into stride**2 phases, each flattened
+    channel-major to (Cin, B*Hq*Wq). Output (b, i, j) sits at flat index
+    p = (b*Hq + i)*Wq + j of the same grid, and kernel tap (di, dj) reads
+    phase (di % s, dj % s) at p + (di // s)*Wq + dj // s, so every tap is one
+    contiguous slice. dy is zero on the grid positions that are not outputs,
+    so the windows that wrap across a row or an image add exactly 0.
+    dx is a (B, Cin, H, W) view of channel-major memory.
+    """
     bsz, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
-    xp = _pad2(x, pad)
+    s = stride
     ho, wo = dy.shape[2], dy.shape[3]
-    dxp = np.zeros_like(xp)
-    dw = np.zeros_like(w)
+    hq, wq = -(-(h + 2 * pad) // s), -(-(wd + 2 * pad) // s)
+    xp = np.zeros((cin, bsz, hq * s, wq * s))
+    xp[:, :, pad:pad + h, pad:pad + wd] = x.transpose(1, 0, 2, 3)
+    # (s, s, Cin, B*Hq*Wq); already contiguous, so no copy, when s == 1
+    phases = np.ascontiguousarray(
+        xp.reshape(cin, bsz, hq, s, wq, s).transpose(3, 5, 0, 1, 2, 4)
+    ).reshape(s, s, cin, bsz * hq * wq)
+    g = np.zeros((cout, bsz, hq, wq))
+    g[:, :, :ho, :wo] = dy.transpose(1, 0, 2, 3)
+    n = bsz * hq * wq - ((kh - 1) // s) * wq - (kw - 1) // s
+    g = g.reshape(cout, -1)[:, :n]
+    # per-tap (Cin, Cout) blocks must be contiguous for matmul to use BLAS
+    wt = np.ascontiguousarray(w.transpose(2, 3, 1, 0))
+    dphases = np.zeros_like(phases)
+    dw = np.empty_like(w)
+    tap = np.empty((cin, n))  # reused: a fresh buffer per tap costs page faults
     for di in range(kh):
         for dj in range(kw):
-            sl_r = slice(di, di + stride * ho, stride)
-            sl_c = slice(dj, dj + stride * wo, stride)
-            xs = xp[:, :, sl_r, sl_c]
-            dw[:, :, di, dj] = np.tensordot(dy, xs, axes=([0, 2, 3], [0, 2, 3]))
-            dxp[:, :, sl_r, sl_c] += np.tensordot(
-                w[:, :, di, dj], dy, axes=([0], [1])).transpose(1, 0, 2, 3)
-    db = dy.sum(axis=(0, 2, 3))
-    dx = dxp[:, :, pad:pad + h, pad:pad + wd] if pad else dxp
-    return dx, dw, db
+            off = (di // s) * wq + dj // s
+            a, b = di % s, dj % s
+            dw[:, :, di, dj] = g @ phases[a, b, :, off:off + n].T
+            dphases[a, b, :, off:off + n] += np.matmul(wt[di, dj], g, out=tap)
+    db = g.sum(axis=1)
+    dxp = dphases.reshape(s, s, cin, bsz, hq, wq).transpose(2, 3, 4, 0, 5, 1)
+    dxp = dxp.reshape(cin, bsz, hq * s, wq * s)
+    return dxp[:, :, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3), dw, db
 
 
 def _upsample2(x):
@@ -167,8 +190,8 @@ def _upsample2(x):
 
 
 def _upsample2_backward(dy):
-    bsz, c, h, w = dy.shape
-    return dy.reshape(bsz, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
+    return (dy[:, :, 0::2, 0::2] + dy[:, :, 0::2, 1::2]
+            + dy[:, :, 1::2, 0::2] + dy[:, :, 1::2, 1::2])
 
 
 @dataclass

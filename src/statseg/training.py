@@ -185,6 +185,9 @@ def run_name(config: AblationConfig) -> str:
     return f"{config.mode}_cov{config.weak_coverage:g}_seed{config.seed}"
 
 
+# overflow ends in a non-finite loss or gradient, which _batch_losses and
+# optimizer_step report as one error; numpy's warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def train(dataset, config: AblationConfig, model_config: ModelConfig) -> RunRecord:
     """Mini-batch training with a deterministic 80/20 split keyed on config.seed."""
     if not dataset:
@@ -210,6 +213,7 @@ def train(dataset, config: AblationConfig, model_config: ModelConfig) -> RunReco
 
     initial_train_loss = _mean_total(params, dataset, train_idx, weights, config.batch_size)
 
+    eval_samples = [dataset[i] for i in eval_idx]
     epoch_losses, epoch_ious = [], []
     for _ in range(config.epochs):
         order = rng.permutation(train_idx)
@@ -224,13 +228,13 @@ def train(dataset, config: AblationConfig, model_config: ModelConfig) -> RunReco
             params, state = optimizer_step(params, grads, state)
         epoch_losses.append(_mean_report(epoch_reports))
         eval_preds = _eval_predictions(params, dataset, eval_idx)
-        eval_samples = [dataset[i] for i in eval_idx]
-        epoch_ious.append(evaluate_predictions(eval_preds, eval_samples).mean_iou)
+        report = evaluate_predictions(eval_preds, eval_samples)
+        epoch_ious.append(report.mean_iou)
+    if not config.epochs:  # otherwise the last epoch already scored these params
+        eval_preds = _eval_predictions(params, dataset, eval_idx)
+        report = evaluate_predictions(eval_preds, eval_samples)
 
     final_train_loss = _mean_total(params, dataset, train_idx, weights, config.batch_size)
-    eval_preds = _eval_predictions(params, dataset, eval_idx)
-    eval_samples = [dataset[i] for i in eval_idx]
-    report = evaluate_predictions(eval_preds, eval_samples)
 
     overlays = [(s.image, s.gt, s.weak, binarize(p, report.threshold))
                 for s, p in list(zip(eval_samples, eval_preds))[:4]]

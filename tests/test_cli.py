@@ -299,6 +299,7 @@ def test_bad_learning_rate_exits_1(tmp_path, capsys, command, lr):
     assert len(err) == 1 and err[0].startswith("error:") and "learning_rate" in err[0]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_nonfinite_loss_exits_3(tmp_path, capsys):
     doc = {"synth": dict(TINY_SYNTH, n_samples=6, seed=1),
            "model": dict(TINY_MODEL, base_channels=2, seed=1),
@@ -309,3 +310,4 @@ def test_train_nonfinite_loss_exits_3(tmp_path, capsys):
     assert main(["train", "--config", cfg]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: non-finite loss")
+

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from statseg.errors import InvalidConfigError, MalformedFileError, ShapeMismatchError
 from statseg.grid import GridShape, Image, Mask
 from statseg.losses import LossWeights, total_loss
-from statseg.model import (ModelConfig, ModelParams, backward, forward,
-                           init_params, load_checkpoint, param_shapes,
-                           save_checkpoint)
+from statseg.model import (ModelConfig, ModelParams, _conv2d_backward, _upsample2,
+                           _upsample2_backward, backward, forward, init_params,
+                           load_checkpoint, param_shapes, save_checkpoint)
 from statseg.morphology import weak_mask
 
 CFG = ModelConfig(GridShape(8, 8), base_channels=4, seed=3)
@@ -142,6 +142,71 @@ def test_relu_dead_unit_blocks_gradient():
     grads = backward(trace, np.ones((8, 8)), np.ones((8, 8)))
     assert not grads.tensors["enc1.w"][0].any()
     assert grads.tensors["enc1.w"][1:].any()
+
+
+def conv_backward_reference(dy, x, w, stride, pad):
+    """dx, dw, db of a cross-correlation, one output pixel at a time."""
+    bsz, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    xp = np.zeros((bsz, cin, h + 2 * pad, wd + 2 * pad))
+    xp[:, :, pad:pad + h, pad:pad + wd] = x
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for b in range(bsz):
+        for o in range(cout):
+            for i in range(dy.shape[2]):
+                for j in range(dy.shape[3]):
+                    rows = slice(i * stride, i * stride + kh)
+                    cols = slice(j * stride, j * stride + kw)
+                    dw[o] += dy[b, o, i, j] * xp[b, :, rows, cols]
+                    dxp[b, :, rows, cols] += dy[b, o, i, j] * w[o]
+    return dxp[:, :, pad:pad + h, pad:pad + wd], dw, dy.sum(axis=(0, 2, 3))
+
+
+def channel_major(a):
+    """The same (B, C, H, W) values, stored as a transposed (C, B, H, W) array."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
+# every layer of the network on an 8x12 input with C = 2:
+# (cin, cout, kernel, stride, pad, input height, input width)
+LAYER_GEOMETRIES = {
+    "enc1": (1, 2, 3, 1, 1, 8, 12),
+    "enc2": (2, 4, 3, 2, 1, 8, 12),
+    "enc3": (4, 8, 3, 2, 1, 4, 6),
+    "dec1": (8, 4, 3, 1, 1, 4, 6),
+    "dec2": (4, 2, 3, 1, 1, 8, 12),
+    "seg": (2, 1, 1, 1, 0, 8, 12),
+    "rec": (2, 1, 1, 1, 0, 8, 12),
+}
+
+
+@pytest.mark.parametrize("layout", ["c_order", "channel_major"])
+@pytest.mark.parametrize("bsz", [1, 3])
+@pytest.mark.parametrize("layer", LAYER_GEOMETRIES)
+def test_conv2d_backward_matches_nested_loops(layer, bsz, layout):
+    cin, cout, k, stride, pad, h, wd = LAYER_GEOMETRIES[layer]
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(bsz, cin, h, wd))
+    w = rng.normal(size=(cout, cin, k, k))
+    dy = rng.normal(size=(bsz, cout, (h + 2 * pad - k) // stride + 1,
+                          (wd + 2 * pad - k) // stride + 1))
+    expected = conv_backward_reference(dy, x, w, stride, pad)
+    if layout == "channel_major":
+        x, dy = channel_major(x), channel_major(dy)
+    got = _conv2d_backward(dy, x, w, stride=stride, pad=pad)
+    for name, a, b in zip(("dx", "dw", "db"), got, expected):
+        assert a.shape == b.shape, name
+        assert np.allclose(a, b, rtol=1e-12, atol=1e-12), name
+
+
+def test_upsample2_backward_is_adjoint():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(3, 2, 4, 6))
+    y = rng.normal(size=(3, 2, 8, 12))
+    assert np.isclose(np.vdot(_upsample2(x), y), np.vdot(x, _upsample2_backward(y)),
+                      rtol=1e-13)
+    assert _upsample2_backward(channel_major(y)).shape == x.shape
 
 
 def _param_gradcheck(weights, seed):

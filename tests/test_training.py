@@ -8,6 +8,7 @@ from statseg import training
 from statseg.data import SynthConfig, generate_synthetic
 from statseg.errors import (InvalidConfigError, NonFiniteGradientError,
                             NonFiniteLossError)
+from statseg.evaluation import binarize, evaluate_predictions
 from statseg.grid import GridShape
 from statseg.losses import LossWeights
 from statseg.model import ModelConfig, ModelParams, init_params
@@ -166,6 +167,33 @@ def test_train_derives_weak_masks_itself():
     assert a.overlays
     for _, gt, weak, _ in a.overlays:
         assert np.array_equal(weak.values, weak_mask(gt, cfg.weak_coverage).values)
+
+
+@pytest.mark.parametrize("epochs", [0, 2])
+def test_train_scores_final_params_once(monkeypatch, epochs):
+    calls = []
+
+    def spy(params, samples, idx, batch_size=16):
+        calls.append((params.flatten(), samples, idx))
+        return eval_predictions(params, samples, idx, batch_size)
+
+    eval_predictions = training._eval_predictions
+    monkeypatch.setattr(training, "_eval_predictions", spy)
+    record = train(tiny_dataset(), tiny_config(epochs=epochs), MODEL)
+    assert len(calls) == max(epochs, 1)
+    flat, samples, idx = calls[-1]
+    assert np.array_equal(flat, record.final_params_flat)
+    # a fresh pass on the final params reproduces every reported number
+    fresh = eval_predictions(ModelParams.from_flat(MODEL, flat), samples, idx)
+    report = evaluate_predictions(fresh, [samples[i] for i in idx])
+    assert (record.final_iou, record.degenerate, record.degenerate_fraction,
+            record.pred_mean, record.pred_std) == (
+        report.mean_iou, report.degenerate, report.degenerate_fraction,
+        report.pred_mean, report.pred_std)
+    if epochs:
+        assert record.epoch_ious[-1] == report.mean_iou
+    for (_, _, _, overlay), p in zip(record.overlays, fresh):
+        assert np.array_equal(overlay.values, binarize(p, report.threshold).values)
 
 
 class RecordingPool:
