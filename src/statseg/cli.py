@@ -2,7 +2,8 @@
 
 All experiment configuration lives in a JSON file (plus --seed/--out
 overrides), so the config file is the complete record of a run.
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage/config error (also a config too large to
+allocate), 2 data error, 3 numeric failure.
 """
 from __future__ import annotations
 
@@ -300,6 +301,9 @@ def main(argv=None) -> int:
         return 2
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

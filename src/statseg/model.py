@@ -3,7 +3,9 @@
 Fixed architecture (C = base_channels):
   encoder: conv3x3(1->C)+ReLU -> conv3x3 stride2 (C->2C)+ReLU
            -> conv3x3 stride2 (2C->4C)+ReLU
-  decoder: up2 + conv3x3(4C->2C)+ReLU -> up2 + conv3x3(2C->C)+ReLU
+  decoder: up2 + conv3x3(4C->2C)+ReLU -> up2 + conv3x3(2C->C)+ReLU, each
+           "up2 + conv3x3" run as one 2x2 phase conv of the low-res input
+           (sub-pixel convolution), so the upsampled tensor is never built
   heads:   conv1x1(C->1)+sigmoid (segmentation), conv1x1(C->1)+sigmoid (reconstruction)
 
 Forward/backward are hand-written numpy; gradients are exact (checked
@@ -109,12 +111,10 @@ def init_params(config: ModelConfig) -> ModelParams:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, so exp never overflows
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def _pad2(x, pad):
@@ -132,17 +132,17 @@ def _conv2d(x, w, b, stride=1, pad=1):
     xp = _pad2(x, pad)
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (wd + 2 * pad - kw) // stride + 1
-    # windows: (B, Cin, ho, wo, kh, kw), a strided view of the padded input;
-    # as_strided costs a third of sliding_window_view plus slicing per call
+    # windows: (Cin, kh, kw, B, ho, wo), a strided view of the padded input;
+    # its reshape is the im2col copy and one GEMM does the rest
     s0, s1, s2, s3 = xp.strides
     win = np.lib.stride_tricks.as_strided(
-        xp, (bsz, cin, ho, wo, kh, kw), (s0, s1, stride * s2, stride * s3, s2, s3),
+        xp, (cin, kh, kw, bsz, ho, wo), (s1, s2, s3, s0, stride * s2, stride * s3),
         writeable=False)
-    y = np.tensordot(w, win, axes=([1, 2, 3], [1, 4, 5])).transpose(1, 0, 2, 3)
-    return y + b[None, :, None, None]
+    y = np.dot(w.reshape(cout, -1), win.reshape(cin * kh * kw, -1))
+    return y.reshape(cout, bsz, ho, wo).transpose(1, 0, 2, 3) + b[None, :, None, None]
 
 
-def _conv2d_backward(dy, x, w, stride=1, pad=1):
+def _conv2d_backward(dy, x, w, stride=1, pad=1, *, dx=True):
     """Shifted-GEMM backward (Chellapilla, Puri & Simard 2006), no im2col copy.
 
     The padded input is split into stride**2 phases, each flattened
@@ -151,7 +151,8 @@ def _conv2d_backward(dy, x, w, stride=1, pad=1):
     phase (di % s, dj % s) at p + (di // s)*Wq + dj // s, so every tap is one
     contiguous slice. dy is zero on the grid positions that are not outputs,
     so the windows that wrap across a row or an image add exactly 0.
-    dx is a (B, Cin, H, W) view of channel-major memory.
+    dx is a (B, Cin, H, W) view of channel-major memory, or None when the
+    caller passes dx=False and only wants dw and db.
     """
     bsz, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
@@ -168,18 +169,22 @@ def _conv2d_backward(dy, x, w, stride=1, pad=1):
     g[:, :, :ho, :wo] = dy.transpose(1, 0, 2, 3)
     n = bsz * hq * wq - ((kh - 1) // s) * wq - (kw - 1) // s
     g = g.reshape(cout, -1)[:, :n]
-    # per-tap (Cin, Cout) blocks must be contiguous for matmul to use BLAS
-    wt = np.ascontiguousarray(w.transpose(2, 3, 1, 0))
-    dphases = np.zeros_like(phases)
     dw = np.empty_like(w)
-    tap = np.empty((cin, n))  # reused: a fresh buffer per tap costs page faults
+    if dx:
+        # per-tap (Cin, Cout) blocks must be contiguous for matmul to use BLAS
+        wt = np.ascontiguousarray(w.transpose(2, 3, 1, 0))
+        dphases = np.zeros_like(phases)
+        tap = np.empty((cin, n))  # reused: a fresh buffer per tap costs page faults
     for di in range(kh):
         for dj in range(kw):
             off = (di // s) * wq + dj // s
             a, b = di % s, dj % s
             dw[:, :, di, dj] = g @ phases[a, b, :, off:off + n].T
-            dphases[a, b, :, off:off + n] += np.matmul(wt[di, dj], g, out=tap)
+            if dx:
+                dphases[a, b, :, off:off + n] += np.matmul(wt[di, dj], g, out=tap)
     db = g.sum(axis=1)
+    if not dx:
+        return None, dw, db
     dxp = dphases.reshape(s, s, cin, bsz, hq, wq).transpose(2, 3, 4, 0, 5, 1)
     dxp = dxp.reshape(cin, bsz, hq * s, wq * s)
     return dxp[:, :, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3), dw, db
@@ -189,9 +194,49 @@ def _upsample2(x):
     return x.repeat(2, axis=2).repeat(2, axis=3)
 
 
-def _upsample2_backward(dy):
-    return (dy[:, :, 0::2, 0::2] + dy[:, :, 0::2, 1::2]
-            + dy[:, :, 1::2, 0::2] + dy[:, :, 1::2, 1::2])
+# A 3x3 conv over a nearest 2x upsampling, output row 2r + a, reads low-res
+# rows r - 1 + a and r + a (the 2x2 phase conv's two taps) with these sums of
+# kernel rows: phase 0 takes w0 and w1 + w2, phase 1 takes w0 + w1 and w2.
+# Columns fold the same way, so (a, b, ki, kj) x (di, dj) is one 0/1 matrix.
+_ROW_FOLD = np.array([[[1, 0, 0], [0, 1, 1]],
+                      [[1, 1, 0], [0, 0, 1]]], dtype=np.float64)
+_PHASE_FOLD = np.einsum("akd,ble->abklde", _ROW_FOLD, _ROW_FOLD).reshape(16, 9)
+_PHASES = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _phase_kernels(w):
+    """(Cout, Cin, 3, 3) -> (4*Cout, Cin, 2, 2), phase-major."""
+    cout, cin = w.shape[:2]
+    w4 = (w.reshape(cout * cin, 9) @ _PHASE_FOLD.T).reshape(cout, cin, 4, 2, 2)
+    return w4.transpose(2, 0, 1, 3, 4).reshape(4 * cout, cin, 2, 2)
+
+
+def _upconv(x, w, b):
+    """_conv2d(_upsample2(x), w, b) as sub-pixel convolution (Shi et al. 2016).
+
+    One 2x2 conv of the low-res x makes all four output phases as a
+    (B, 4*Cout, h+1, w+1) grid; output pixel (2r + a, 2c + b) is phase
+    (a, b) at (r + a, c + b). The upsampled input is never built.
+    """
+    bsz, _, h, wd = x.shape
+    cout = w.shape[0]
+    y4 = _conv2d(x, _phase_kernels(w), np.tile(b, 4))
+    y = np.empty((bsz, cout, 2 * h, 2 * wd))
+    for p, (a, c) in enumerate(_PHASES):
+        y[:, :, a::2, c::2] = y4[:, p * cout:(p + 1) * cout, a:a + h, c:c + wd]
+    return y
+
+
+def _upconv_backward(dy, x, w):
+    """dx, dw, db of _upconv: the forward's phase scatter and weight fold, reversed."""
+    bsz, cin, h, wd = x.shape
+    cout = w.shape[0]
+    g4 = np.zeros((bsz, 4 * cout, h + 1, wd + 1))
+    for p, (a, c) in enumerate(_PHASES):
+        g4[:, p * cout:(p + 1) * cout, a:a + h, c:c + wd] = dy[:, :, a::2, c::2]
+    dx, dw4, db4 = _conv2d_backward(g4, x, _phase_kernels(w))
+    dw4 = dw4.reshape(4, cout, cin, 4).transpose(1, 2, 0, 3).reshape(cout * cin, 16)
+    return dx, (dw4 @ _PHASE_FOLD).reshape(w.shape), db4.reshape(4, cout).sum(axis=0)
 
 
 @dataclass
@@ -210,14 +255,12 @@ def _forward_batch(params: ModelParams, x: np.ndarray):
     a1 = np.maximum(_conv2d(x, t["enc1.w"], t["enc1.b"]), 0.0)
     a2 = np.maximum(_conv2d(a1, t["enc2.w"], t["enc2.b"], stride=2), 0.0)
     a3 = np.maximum(_conv2d(a2, t["enc3.w"], t["enc3.b"], stride=2), 0.0)
-    u1 = _upsample2(a3)
-    a4 = np.maximum(_conv2d(u1, t["dec1.w"], t["dec1.b"]), 0.0)
-    u2 = _upsample2(a4)
-    a5 = np.maximum(_conv2d(u2, t["dec2.w"], t["dec2.b"]), 0.0)
+    a4 = np.maximum(_upconv(a3, t["dec1.w"], t["dec1.b"]), 0.0)
+    a5 = np.maximum(_upconv(a4, t["dec2.w"], t["dec2.b"]), 0.0)
     pred = _sigmoid(_conv2d(a5, t["seg.w"], t["seg.b"], stride=1, pad=0))
     recon = _sigmoid(_conv2d(a5, t["rec.w"], t["rec.b"], stride=1, pad=0))
-    cache = {"x": x, "a1": a1, "a2": a2, "a3": a3, "u1": u1, "a4": a4,
-             "u2": u2, "a5": a5, "pred": pred, "recon": recon}
+    cache = {"x": x, "a1": a1, "a2": a2, "a3": a3, "a4": a4, "a5": a5,
+             "pred": pred, "recon": recon}
     return pred, recon, cache
 
 
@@ -230,15 +273,15 @@ def _backward_batch(params: ModelParams, cache: dict,
     da5_s, g["seg.w"], g["seg.b"] = _conv2d_backward(dz_seg, cache["a5"], t["seg.w"], pad=0)
     da5_r, g["rec.w"], g["rec.b"] = _conv2d_backward(dz_rec, cache["a5"], t["rec.w"], pad=0)
     dz5 = (da5_s + da5_r) * (cache["a5"] > 0.0)
-    du2, g["dec2.w"], g["dec2.b"] = _conv2d_backward(dz5, cache["u2"], t["dec2.w"])
-    dz4 = _upsample2_backward(du2) * (cache["a4"] > 0.0)
-    du1, g["dec1.w"], g["dec1.b"] = _conv2d_backward(dz4, cache["u1"], t["dec1.w"])
-    dz3 = _upsample2_backward(du1) * (cache["a3"] > 0.0)
+    da4, g["dec2.w"], g["dec2.b"] = _upconv_backward(dz5, cache["a4"], t["dec2.w"])
+    dz4 = da4 * (cache["a4"] > 0.0)
+    da3, g["dec1.w"], g["dec1.b"] = _upconv_backward(dz4, cache["a3"], t["dec1.w"])
+    dz3 = da3 * (cache["a3"] > 0.0)
     da2, g["enc3.w"], g["enc3.b"] = _conv2d_backward(dz3, cache["a2"], t["enc3.w"], stride=2)
     dz2 = da2 * (cache["a2"] > 0.0)
     da1, g["enc2.w"], g["enc2.b"] = _conv2d_backward(dz2, cache["a1"], t["enc2.w"], stride=2)
     dz1 = da1 * (cache["a1"] > 0.0)
-    _, g["enc1.w"], g["enc1.b"] = _conv2d_backward(dz1, cache["x"], t["enc1.w"])
+    _, g["enc1.w"], g["enc1.b"] = _conv2d_backward(dz1, cache["x"], t["enc1.w"], dx=False)
     flat = np.concatenate([g[name].ravel()
                            for name, _ in param_shapes(params.config.base_channels)])
     return ModelParams(params.config, flat)

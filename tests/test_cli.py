@@ -53,6 +53,13 @@ def test_synth_infeasible_roi_exits_2(tmp_path, capsys):
     assert "fraction" in capsys.readouterr().err
 
 
+def test_synth_too_large_to_allocate_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, synth_doc(tmp_path / "ds", height=1000000, width=1000000))
+    assert main(["synth", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out of memory")
+
+
 def test_synth_unknown_key_rejected(tmp_path):
     doc = synth_doc(tmp_path / "ds")
     doc["synth"]["typo_key"] = 1

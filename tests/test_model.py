@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from statseg.errors import InvalidConfigError, MalformedFileError, ShapeMismatchError
 from statseg.grid import GridShape, Image, Mask
 from statseg.losses import LossWeights, total_loss
-from statseg.model import (ModelConfig, ModelParams, _conv2d_backward, _upsample2,
-                           _upsample2_backward, backward, forward, init_params,
-                           load_checkpoint, param_shapes, save_checkpoint)
+from statseg.model import (ModelConfig, ModelParams, _conv2d, _conv2d_backward,
+                           _sigmoid, _upconv, _upconv_backward, _upsample2, backward,
+                           forward, init_params, load_checkpoint, param_shapes,
+                           save_checkpoint)
 from statseg.morphology import weak_mask
 
 CFG = ModelConfig(GridShape(8, 8), base_channels=4, seed=3)
@@ -200,13 +201,122 @@ def test_conv2d_backward_matches_nested_loops(layer, bsz, layout):
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12), name
 
 
-def test_upsample2_backward_is_adjoint():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(3, 2, 4, 6))
-    y = rng.normal(size=(3, 2, 8, 12))
-    assert np.isclose(np.vdot(_upsample2(x), y), np.vdot(x, _upsample2_backward(y)),
-                      rtol=1e-13)
-    assert _upsample2_backward(channel_major(y)).shape == x.shape
+def conv_reference(x, w, b, stride, pad):
+    """A cross-correlation, one output pixel at a time."""
+    bsz, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    xp = np.zeros((bsz, cin, h + 2 * pad, wd + 2 * pad))
+    xp[:, :, pad:pad + h, pad:pad + wd] = x
+    y = np.empty((bsz, cout, (h + 2 * pad - kh) // stride + 1,
+                  (wd + 2 * pad - kw) // stride + 1))
+    for bi in range(bsz):
+        for o in range(cout):
+            for i in range(y.shape[2]):
+                for j in range(y.shape[3]):
+                    window = xp[bi, :, i * stride:i * stride + kh, j * stride:j * stride + kw]
+                    y[bi, o, i, j] = (window * w[o]).sum() + b[o]
+    return y
+
+
+def upsample_reference(x):
+    """Nearest 2x upsampling, one output pixel at a time."""
+    bsz, c, h, wd = x.shape
+    u = np.empty((bsz, c, 2 * h, 2 * wd))
+    for i in range(2 * h):
+        for j in range(2 * wd):
+            u[:, :, i, j] = x[:, :, i // 2, j // 2]
+    return u
+
+
+@pytest.mark.parametrize("bsz", [1, 3])
+@pytest.mark.parametrize("layer", LAYER_GEOMETRIES)
+def test_conv2d_matches_nested_loops(layer, bsz):
+    cin, cout, k, stride, pad, h, wd = LAYER_GEOMETRIES[layer]
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(bsz, cin, h, wd))
+    w = rng.normal(size=(cout, cin, k, k))
+    b = rng.normal(size=cout)
+    expected = conv_reference(x, w, b, stride, pad)
+    got = _conv2d(x, w, b, stride=stride, pad=pad)
+    assert got.shape == expected.shape
+    assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+def upconv_case(layer, bsz, seed):
+    """Low-res input, 3x3 weights and bias of a decoder layer on an 8x12 image."""
+    cin, cout, _, _, _, h, wd = LAYER_GEOMETRIES[layer]
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(bsz, cin, h // 2, wd // 2)),
+            rng.normal(size=(cout, cin, 3, 3)), rng.normal(size=cout))
+
+
+@pytest.mark.parametrize("bsz", [1, 3])
+@pytest.mark.parametrize("layer", ["dec1", "dec2"])
+def test_upconv_matches_upsample_then_conv(layer, bsz):
+    x, w, b = upconv_case(layer, bsz, seed=17)
+    got = _upconv(x, w, b)
+    for expected in (_conv2d(_upsample2(x), w, b),
+                     conv_reference(upsample_reference(x), w, b, 1, 1)):
+        assert got.shape == expected.shape
+        assert np.allclose(got, expected, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("layout", ["c_order", "channel_major"])
+@pytest.mark.parametrize("bsz", [1, 3])
+@pytest.mark.parametrize("layer", ["dec1", "dec2"])
+def test_upconv_backward_matches_nested_loops(layer, bsz, layout):
+    x, w, _ = upconv_case(layer, bsz, seed=19)
+    bsz, _, h, wd = x.shape
+    dy = np.random.default_rng(23).normal(size=(bsz, w.shape[0], 2 * h, 2 * wd))
+    du, dw, db = conv_backward_reference(dy, upsample_reference(x), w, 1, 1)
+    # each low-res pixel feeds the 2x2 block it was copied to
+    dx = du.reshape(bsz, -1, h, 2, wd, 2).sum(axis=(3, 5))
+    if layout == "channel_major":
+        x, dy = channel_major(x), channel_major(dy)
+    got = _upconv_backward(dy, x, w)
+    for name, a, b in zip(("dx", "dw", "db"), got, (dx, dw, db)):
+        assert a.shape == b.shape, name
+        assert np.allclose(a, b, rtol=1e-12, atol=1e-12), name
+
+
+@pytest.mark.parametrize("layer", ["dec1", "dec2"])
+def test_upconv_backward_is_adjoint(layer):
+    x, w, _ = upconv_case(layer, 3, seed=29)
+    y = _upconv(x, w, np.zeros(w.shape[0]))
+    dy = np.random.default_rng(31).normal(size=y.shape)
+    dx, dw, db = _upconv_backward(dy, x, w)
+    # y is linear in x for fixed w and in w for fixed x, and db sums dy
+    assert np.isclose(np.vdot(y, dy), np.vdot(x, dx), rtol=1e-13)
+    assert np.isclose(np.vdot(y, dy), np.vdot(w, dw), rtol=1e-13)
+    assert np.allclose(db, dy.sum(axis=(0, 2, 3)), rtol=1e-13)
+
+
+@pytest.mark.parametrize("layer", ["enc1", "enc2"])
+def test_conv2d_backward_without_dx(layer):
+    cin, cout, k, stride, pad, h, wd = LAYER_GEOMETRIES[layer]
+    rng = np.random.default_rng(37)
+    x = rng.normal(size=(2, cin, h, wd))
+    w = rng.normal(size=(cout, cin, k, k))
+    dy = rng.normal(size=(2, cout, (h + 2 * pad - k) // stride + 1,
+                          (wd + 2 * pad - k) // stride + 1))
+    _, dw, db = _conv2d_backward(dy, x, w, stride=stride, pad=pad)
+    none, dw_only, db_only = _conv2d_backward(dy, x, w, stride=stride, pad=pad, dx=False)
+    assert none is None
+    assert np.array_equal(dw_only, dw) and np.array_equal(db_only, db)
+
+
+def test_sigmoid_bits_match_the_two_branch_formula():
+    z = np.concatenate([np.random.default_rng(41).normal(scale=30.0, size=2000),
+                        [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, np.nan]])
+    expected = np.empty_like(z)
+    pos = z >= 0
+    expected[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    with np.errstate(over="ignore"):
+        ez = np.exp(z[~pos])
+        expected[~pos] = ez / (1.0 + ez)
+    with np.errstate(over="raise", invalid="raise"):
+        got = _sigmoid(z[None, None, :])[0, 0]
+    assert np.array_equal(got, expected, equal_nan=True)
 
 
 def _param_gradcheck(weights, seed):
