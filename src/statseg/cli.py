@@ -46,7 +46,7 @@ def _take(d: dict, allowed: dict, context: str) -> dict:
     for k, v in d.items():
         try:
             out[k] = allowed[k](v)
-        except (TypeError, ValueError, IndexError, OverflowError) as exc:
+        except (TypeError, ValueError, LookupError, OverflowError) as exc:
             raise ConfigFileError(f"{context}: bad value for {k!r}: {exc}") from exc
     return out
 

@@ -49,7 +49,12 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class Sample:
-    """An image, its ground truth and summary statistic; `weak` is set by train()."""
+    """An image, its ground truth and summary statistic.
+
+    `weak` is an optional weak mask, checked to be a non-empty subset of gt.
+    statseg never sets it: train() derives a run's weak masks as one stack.
+    Samples built by hand may carry one, as perfbench's gradcheck8 workload does.
+    """
 
     image: Image
     gt: Mask

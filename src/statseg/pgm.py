@@ -59,4 +59,7 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     raster = data[pos:pos + w * h]
     if len(raster) != w * h:
         raise MalformedFileError(f"{path}: expected {w * h} pixels, found {len(raster)}")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w).copy(), maxval
+    arr = np.frombuffer(raster, dtype=np.uint8).reshape(h, w).copy()
+    if arr.max() > maxval:
+        raise MalformedFileError(f"{path}: pixel value {arr.max()} above maxval {maxval}")
+    return arr, maxval

@@ -10,6 +10,7 @@ import numpy as np
 from .errors import (InvalidConfigError, NonFiniteGradientError,
                      NonFiniteLossError)
 from .evaluation import binarize, evaluate_predictions
+from .grid import Mask
 from .losses import LossReport, LossWeights, total_loss
 from .model import ModelConfig, ModelParams, _backward_batch, _forward_batch, init_params
 from .morphology import weak_mask
@@ -139,10 +140,12 @@ def _stack(samples, idx, name: str) -> np.ndarray:
     return np.stack([getattr(samples[i], name).values for i in idx])
 
 
-def _batch_losses(samples, idx, x, pred_b, recon_b, weights):
-    """One total_loss over a batch; gradients already divided by batch size."""
-    rep, d_pred, d_recon = total_loss(x[:, 0], _stack(samples, idx, "gt"),
-                                      _stack(samples, idx, "weak"),
+def _batch_losses(samples, weak, idx, x, pred_b, recon_b, weights):
+    """One total_loss over a batch; gradients already divided by batch size.
+
+    `weak` is the run's (N, H, W) boolean weak-mask stack, indexed like samples.
+    """
+    rep, d_pred, d_recon = total_loss(x[:, 0], _stack(samples, idx, "gt"), weak[idx],
                                       pred_b[:, 0], recon_b[:, 0], weights)
     bad = np.flatnonzero(~np.isfinite(rep.total))
     if bad.size:
@@ -161,13 +164,13 @@ def _mean_report(reports) -> LossReport:
     return LossReport(**{name: sum(v) / len(v) for name, v in per_sample.items()})
 
 
-def _mean_total(params, samples, idx, weights, batch_size) -> float:
+def _mean_total(params, samples, weak, idx, weights, batch_size) -> float:
     reports = []
     for start in range(0, len(idx), batch_size):
         chunk = idx[start:start + batch_size]
         x = _stack(samples, chunk, "image")[:, None]
         pred_b, recon_b, _ = _forward_batch(params, x)
-        reports.append(_batch_losses(samples, chunk, x, pred_b, recon_b, weights)[0])
+        reports.append(_batch_losses(samples, weak, chunk, x, pred_b, recon_b, weights)[0])
     return _mean_report(reports).total
 
 
@@ -204,14 +207,13 @@ def train(dataset, config: AblationConfig, model_config: ModelConfig) -> RunReco
 
     # one fixed annotation effort per run: the only place weak masks are
     # derived, once at the configured coverage, never re-eroded during training
-    dataset = [replace(s, weak=weak_mask(s.gt, config.weak_coverage))
-               for s in dataset]
+    weak = weak_mask(np.stack([s.gt.values == 1.0 for s in dataset]), config.weak_coverage)
 
     params = init_params(model_config)
     state = OptimizerState(n_params=params.n_params, learning_rate=config.learning_rate)
     weights = config.weights
 
-    initial_train_loss = _mean_total(params, dataset, train_idx, weights, config.batch_size)
+    initial_train_loss = _mean_total(params, dataset, weak, train_idx, weights, config.batch_size)
 
     eval_samples = [dataset[i] for i in eval_idx]
     epoch_losses, epoch_ious = [], []
@@ -222,7 +224,8 @@ def train(dataset, config: AblationConfig, model_config: ModelConfig) -> RunReco
             chunk = order[start:start + config.batch_size]
             x = _stack(dataset, chunk, "image")[:, None]
             pred_b, recon_b, cache = _forward_batch(params, x)
-            rep, d_pred, d_recon = _batch_losses(dataset, chunk, x, pred_b, recon_b, weights)
+            rep, d_pred, d_recon = _batch_losses(dataset, weak, chunk, x, pred_b, recon_b,
+                                                 weights)
             epoch_reports.append(rep)
             grads = _backward_batch(params, cache, d_pred, d_recon)
             params, state = optimizer_step(params, grads, state)
@@ -234,10 +237,10 @@ def train(dataset, config: AblationConfig, model_config: ModelConfig) -> RunReco
         eval_preds = _eval_predictions(params, dataset, eval_idx)
         report = evaluate_predictions(eval_preds, eval_samples)
 
-    final_train_loss = _mean_total(params, dataset, train_idx, weights, config.batch_size)
+    final_train_loss = _mean_total(params, dataset, weak, train_idx, weights, config.batch_size)
 
-    overlays = [(s.image, s.gt, s.weak, binarize(p, report.threshold))
-                for s, p in list(zip(eval_samples, eval_preds))[:4]]
+    overlays = [(dataset[i].image, dataset[i].gt, Mask(weak[i]), binarize(p, report.threshold))
+                for i, p in list(zip(eval_idx, eval_preds))[:4]]
 
     return RunRecord(
         name=run_name(config), mode=config.mode, coverage=config.weak_coverage,

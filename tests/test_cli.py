@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from statseg.cli import main
 from statseg.pgm import write_pgm
@@ -318,3 +320,76 @@ def test_train_nonfinite_loss_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: non-finite loss")
 
+
+# Tiny valid configs, one per config-reading command: each runs in well under
+# a second, whatever one mutation does to it.
+VALID_CONFIGS = [
+    ("synth", {"synth": dict(TINY_SYNTH, roi_fraction_range=[0.05, 0.3], contrast=0.6,
+                             seed=0)}),
+    ("train", {"synth": TINY_SYNTH, "model": dict(TINY_MODEL, base_channels=2),
+               "ablation": {"mode": "combined", "epochs": 1, "batch_size": 2}}),
+    ("ablate", {"synth": TINY_SYNTH, "model": TINY_MODEL,
+                "grid": [{"mode": "weak_only", "epochs": 1, "weak_coverage": 0.5}]}),
+    ("ablate", {"synth": TINY_SYNTH, "model": TINY_MODEL, "epochs": 1,
+                "coverages": [0.5], "grid_seeds": [0]}),
+]
+
+
+def _value_paths(doc, prefix=()):
+    """Key paths of every value in a JSON document, nested ones included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _value_paths(value, prefix + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _retyped(v):
+    """Values of every other JSON type, built from v where that is natural."""
+    alts = [None, True, 2, 2.5, str(v) if not isinstance(v, str) else "7", [v], {"v": v}]
+    return [a for a in alts if type(a) is not type(v)]
+
+
+@st.composite
+def mutated_configs(draw):
+    command, doc = draw(st.sampled_from(VALID_CONFIGS))
+    doc = json.loads(json.dumps(dict(doc, out_dir="out")))
+    paths = list(_value_paths(doc))
+    kind = draw(st.sampled_from(["drop", "add", "retype"]))
+    if kind == "add":
+        parents = [()] + [p for p in paths if isinstance(_at(doc, p), dict)]
+        _at(doc, draw(st.sampled_from(parents)))["unknown_key"] = 1
+        return command, doc
+    if kind == "drop":
+        paths = [p for p in paths if isinstance(_at(doc, p[:-1]), dict)]
+    path = draw(st.sampled_from(paths))
+    parent = _at(doc, path[:-1])
+    if kind == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(st.sampled_from(_retyped(parent[path[-1]])))
+    return command, doc
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_configs())
+@example(("synth", {"synth": dict(VALID_CONFIGS[0][1]["synth"],
+                                  roi_fraction_range={"v": [0.05, 0.3]}), "out_dir": "out"}))
+def test_mutated_config_exits_0_to_3_with_at_most_one_error_line(tmp_path, monkeypatch,
+                                                                 capsys, case):
+    command, doc = case
+    monkeypatch.chdir(tmp_path)  # out_dir is relative, and mutations may rename it
+    cfg = write_config(tmp_path, doc)
+    capsys.readouterr()
+    code = main([command, "--config", cfg])
+    err = capsys.readouterr().err.splitlines()
+    assert code in (0, 1, 2, 3)
+    assert sum(line.startswith("error:") for line in err) <= 1
+    assert (code == 0) == (not err), err

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from statseg.data import (MaskStack, Sample, SynthConfig, generate_synthetic,
                           load_dataset, load_mask_stack, read_image_pgm,
@@ -122,6 +124,43 @@ def test_pgm_reader_rejects_garbage(tmp_path):
     path.write_bytes(b"P5\n2 2\n255\n\x00")
     with pytest.raises(MalformedFileError):
         read_pgm(path)
+    path.write_bytes(b"P5\n2 1\n1\n\x00\x02")  # a pixel above maxval
+    with pytest.raises(MalformedFileError):
+        read_pgm(path)
+
+
+VALID_PGMS = [
+    b"P5\n3 2\n255\n" + bytes([0, 17, 255, 128, 127, 3]),
+    b"P5 # comment\n2 2 1\n" + bytes([0, 1, 1, 0]),
+    b"P5\n1 4\n\n200\n" + bytes([200, 0, 100, 9]),
+]
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(VALID_PGMS).flatmap(lambda raw: st.tuples(
+    st.just(raw), st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, len(raw) - 1)),
+        st.tuples(st.just("flip"), st.lists(st.integers(0, 8 * len(raw) - 1),
+                                            min_size=1, max_size=3))))))
+def test_pgm_corruption_parses_or_raises_malformed(tmp_path, case):
+    raw, (kind, where) = case
+    raw = bytearray(raw)
+    if kind == "truncate":
+        raw = raw[:where]
+    else:
+        for k in where:
+            raw[k // 8] ^= 1 << (k % 8)
+    path = tmp_path / "x.pgm"
+    path.write_bytes(bytes(raw))
+    try:
+        arr, maxval = read_pgm(path)
+    except MalformedFileError:
+        return
+    assert arr.dtype == np.uint8 and arr.ndim == 2 and 1 <= maxval <= 255
+    # what parses is a valid image and mask
+    read_image_pgm(path)
+    read_mask_pgm(path)
 
 
 def test_save_load_roundtrip(tmp_path):

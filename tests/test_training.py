@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from statseg import training
-from statseg.data import SynthConfig, generate_synthetic
-from statseg.errors import (InvalidConfigError, NonFiniteGradientError,
-                            NonFiniteLossError)
+from statseg.data import Sample, SynthConfig, generate_synthetic
+from statseg.errors import (EmptyMaskError, InvalidConfigError,
+                            NonFiniteGradientError, NonFiniteLossError)
 from statseg.evaluation import binarize, evaluate_predictions
-from statseg.grid import GridShape
+from statseg.grid import GridShape, Mask
 from statseg.losses import LossWeights
 from statseg.model import ModelConfig, ModelParams, init_params
 from statseg.morphology import weak_mask
@@ -96,16 +96,26 @@ def test_ablation_config_mode_weight_invariants():
 
 
 def test_batch_losses_names_the_nonfinite_sample():
-    dataset = [replace(s, weak=weak_mask(s.gt, 0.08)) for s in tiny_dataset(5)]
+    dataset = tiny_dataset(5)
+    weak = weak_mask(np.stack([s.gt.values == 1.0 for s in dataset]), 0.08)
     idx = np.array([4, 2, 0])
     rng = np.random.default_rng(0)
     x = np.stack([dataset[i].image.values for i in idx])[:, None]
     pred_b = rng.uniform(0.1, 0.9, x.shape)
     recon_b = rng.uniform(0.1, 0.9, x.shape)
-    training._batch_losses(dataset, idx, x, pred_b, recon_b, weights_for_mode("combined"))
+    weights = weights_for_mode("combined")
+    training._batch_losses(dataset, weak, idx, x, pred_b, recon_b, weights)
     pred_b[1, 0, 3, 3] = np.nan
     with pytest.raises(NonFiniteLossError, match=r"on sample 2: .*total=nan"):
-        training._batch_losses(dataset, idx, x, pred_b, recon_b, weights_for_mode("combined"))
+        training._batch_losses(dataset, weak, idx, x, pred_b, recon_b, weights)
+
+
+def test_train_names_the_sample_with_an_empty_ground_truth():
+    dataset = tiny_dataset(6)
+    empty = Mask(np.zeros_like(dataset[3].gt.values))
+    dataset[3] = Sample(image=dataset[3].image, gt=empty, stat=0.0)
+    with pytest.raises(EmptyMaskError, match=r"mask 3 of the stack is empty"):
+        train(dataset, tiny_config(epochs=0), MODEL)
 
 
 def test_train_zero_epochs():
