@@ -25,8 +25,7 @@ from .grid import GridShape, foreground_count
 from .model import ModelConfig, ModelParams, save_checkpoint
 from .morphology import weak_mask
 from .pgm import write_pgm
-from .training import (AblationConfig, default_grid, run_ablation_grid,
-                       run_name, train)
+from .training import AblationConfig, default_grid, run_ablation_grid
 
 _USAGE_ERRORS = (ConfigFileError, InvalidConfigError, ValueError)
 _DATA_ERRORS = (EmptyMaskError, ShapeMismatchError, MissingPairError,
@@ -72,61 +71,41 @@ def _load_json(path) -> dict:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigFileError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ConfigFileError(f"{path}: top-level JSON object required")
     return doc
 
 
-def _parse_synth(doc: dict, seed_override) -> data_mod.SynthConfig:
-    fields = _take(doc, {
+def _section(d, context: str, keys: dict, required=(), seed=None) -> dict:
+    """_take(d, keys, context), then the required keys, the --seed override,
+    and "height"/"width" folded into one GridShape under "shape"."""
+    fields = _take(d, keys, context)
+    missing = [k for k in required if k not in fields]
+    if missing:
+        raise ConfigFileError(f"{context}: missing keys {missing}")
+    if seed is not None:
+        fields["seed"] = seed
+    if "height" in fields:
+        fields["shape"] = GridShape(fields.pop("height"), fields.pop("width"))
+    return fields
+
+
+def _parse_synth(d, seed) -> data_mod.SynthConfig:
+    return data_mod.SynthConfig(**_section(d, "synth", {
         "height": int, "width": int, "n_samples": int,
-        "roi_fraction_range": lambda v: (float(v[0]), float(v[1])),
-        "contrast": float, "noise_std": float, "background_level": float,
-        "seed": int,
-    }, "synth")
-    if "height" not in fields or "width" not in fields or "n_samples" not in fields:
-        raise ConfigFileError("synth: height, width and n_samples are required")
-    shape = GridShape(fields.pop("height"), fields.pop("width"))
-    if seed_override is not None:
-        fields["seed"] = seed_override
-    return data_mod.SynthConfig(shape=shape, **fields)
+        "roi_fraction_range": lambda v: tuple(_list_of(float)(v)),
+        "contrast": float, "noise_std": float, "background_level": float, "seed": int,
+    }, required=("height", "width", "n_samples"), seed=seed))
 
 
-def _parse_model(doc: dict, seed_override) -> ModelConfig:
-    fields = _take(doc, {"height": int, "width": int,
-                         "base_channels": int, "seed": int}, "model")
-    if "height" not in fields or "width" not in fields:
-        raise ConfigFileError("model: height and width are required")
-    shape = GridShape(fields.pop("height"), fields.pop("width"))
-    if seed_override is not None:
-        fields["seed"] = seed_override
-    return ModelConfig(input_size=shape, **fields)
+def _parse_model(d, seed) -> ModelConfig:
+    fields = _section(d, "model", {"height": int, "width": int, "base_channels": int,
+                                   "seed": int}, required=("height", "width"), seed=seed)
+    return ModelConfig(input_size=fields.pop("shape"), **fields)
 
 
-def _parse_ablation(doc: dict, seed_override) -> AblationConfig:
-    fields = _take(doc, {"mode": str, "weak_coverage": float, "epochs": int,
-                         "batch_size": int, "learning_rate": float,
-                         "seed": int}, "ablation")
-    if "mode" not in fields:
-        raise ConfigFileError("ablation: mode is required")
-    if seed_override is not None:
-        fields["seed"] = seed_override
-    return AblationConfig(**fields)
-
-
-def _parse_dataset(doc: dict, seed_override):
-    """Returns (samples, source description). Exactly one data source allowed."""
-    has_synth = "synth" in doc
-    has_dir = "dataset_dir" in doc
-    if has_synth == has_dir:
-        raise ConfigFileError("exactly one of 'synth' or 'dataset_dir' is required")
-    if has_synth:
-        cfg = _parse_synth(doc["synth"], seed_override)
-        return data_mod.generate_synthetic(cfg), f"synthetic(seed={cfg.seed})"
-    dir_path = doc["dataset_dir"]
-    if not dir_path.is_dir():
-        raise ConfigFileError(f"dataset_dir does not exist: {dir_path}")
-    return data_mod.load_dataset(dir_path), str(dir_path)
+def _parse_ablation(d, seed) -> AblationConfig:
+    return AblationConfig(**_section(d, "ablation", {
+        "mode": str, "weak_coverage": float, "epochs": int, "batch_size": int,
+        "learning_rate": float, "seed": int}, required=("mode",), seed=seed))
 
 
 def _out_dir(doc: dict, args) -> Path:
@@ -138,9 +117,8 @@ def _out_dir(doc: dict, args) -> Path:
 
 
 def cmd_synth(args) -> int:
-    doc = _take(_load_json(args.config), {"synth": _as_is, "out_dir": Path}, "synth config")
-    if "synth" not in doc:
-        raise ConfigFileError("synth config: 'synth' section is required")
+    doc = _section(_load_json(args.config), "synth config",
+                   {"synth": _as_is, "out_dir": Path}, required=("synth",))
     cfg = _parse_synth(doc["synth"], args.seed)
     out = _out_dir(doc, args)
     samples = data_mod.generate_synthetic(cfg)
@@ -174,47 +152,57 @@ def cmd_slice_select(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    doc = _take(_load_json(args.config), {
-        "synth": _as_is, "dataset_dir": Path, "model": _as_is, "ablation": _as_is,
-        "out_dir": Path}, "train config")
-    for key in ("model", "ablation"):
-        if key not in doc:
-            raise ConfigFileError(f"train config: '{key}' section is required")
-    dataset, source = _parse_dataset(doc, args.seed)
-    model_config = _parse_model(doc["model"], args.seed)
-    ablation = _parse_ablation(doc["ablation"], args.seed)
-    out = _out_dir(doc, args)
+def _run(doc: dict, args, grid: list, jobs: int) -> tuple:
+    """Train each config of grid on the config's dataset; write the report and checkpoints.
 
-    record = train(dataset, ablation, model_config)
-    emit_report([record], out)
-    params = ModelParams.from_flat(model_config, record.final_params_flat)
-    save_checkpoint(params, out / record.name / "model.ckpt")
+    Every section is checked before the dataset is built or loaded. Returns
+    the records, a description of the data source and its sample count.
+    """
+    if jobs < 1:
+        raise InvalidConfigError(f"jobs must be >= 1, got {jobs}")
+    if ("synth" in doc) == ("dataset_dir" in doc):
+        raise ConfigFileError("exactly one of 'synth' or 'dataset_dir' is required")
+    synth = _parse_synth(doc["synth"], args.seed) if "synth" in doc else None
+    model_config = _parse_model(doc["model"], args.seed)
+    out = _out_dir(doc, args)
+    if synth is not None:
+        dataset, source = data_mod.generate_synthetic(synth), f"synthetic(seed={synth.seed})"
+    elif doc["dataset_dir"].is_dir():
+        dataset, source = data_mod.load_dataset(doc["dataset_dir"]), str(doc["dataset_dir"])
+    else:
+        raise ConfigFileError(f"dataset_dir does not exist: {doc['dataset_dir']}")
+
+    records = run_ablation_grid(dataset, model_config, grid, jobs=jobs)
+    emit_report(records, out)
+    for record in records:
+        params = ModelParams.from_flat(model_config, record.final_params_flat)
+        save_checkpoint(params, out / record.name / "model.ckpt")
+    return records, source, len(dataset)
+
+
+def cmd_train(args) -> int:
+    doc = _section(_load_json(args.config), "train config", {
+        "synth": _as_is, "dataset_dir": Path, "model": _as_is, "ablation": _as_is,
+        "out_dir": Path}, required=("model", "ablation"))
+    (record,), source, _ = _run(doc, args, [_parse_ablation(doc["ablation"], args.seed)],
+                                jobs=1)
     print(f"trained {record.name} on {source}: "
           f"final IoU {record.final_iou:.4f}, degenerate={record.degenerate}")
     return 0
 
 
 def cmd_ablate(args) -> int:
-    if args.jobs < 1:  # before the dataset is built or loaded
-        raise InvalidConfigError(f"jobs must be >= 1, got {args.jobs}")
-    doc = _take(_load_json(args.config), {
+    doc = _section(_load_json(args.config), "ablate config", {
         "synth": _as_is, "dataset_dir": Path, "model": _as_is, "grid": _as_is,
         "grid_seeds": _list_of(int), "epochs": int, "batch_size": int,
         "learning_rate": float, "coverages": _list_of(float), "out_dir": Path},
-        "ablate config")
-    if "model" not in doc:
-        raise ConfigFileError("ablate config: 'model' section is required")
-    dataset, source = _parse_dataset(doc, args.seed)
-    model_config = _parse_model(doc["model"], args.seed)
-    out = _out_dir(doc, args)
-
+        required=("model",))
     grid_spec = doc.get("grid", "default")
     if grid_spec == "default":
         options = {k: doc[k] for k in ("coverages", "epochs", "batch_size", "learning_rate")
                    if k in doc}
-        grid = [cfg for seed in doc.get("grid_seeds", [args.seed or 0])
-                for cfg in default_grid(seed=seed, **options)]
+        seeds = doc.get("grid_seeds", [0]) if args.seed is None else [args.seed]
+        grid = [cfg for seed in seeds for cfg in default_grid(seed=seed, **options)]
     elif isinstance(grid_spec, list):
         ignored = sorted(set(doc) & {"grid_seeds", "coverages", "epochs",
                                      "batch_size", "learning_rate"})
@@ -225,13 +213,8 @@ def cmd_ablate(args) -> int:
     else:
         raise ConfigFileError("grid must be \"default\" or a list of ablation configs")
 
-    records = run_ablation_grid(dataset, model_config, grid, jobs=args.jobs)
-    emit_report(records, out)
-    for record in records:
-        params = ModelParams.from_flat(model_config, record.final_params_flat)
-        save_checkpoint(params, out / record.name / "model.ckpt")
-
-    print(f"dataset: {source} ({len(dataset)} samples)")
+    records, source, n_samples = _run(doc, args, grid, args.jobs)
+    print(f"dataset: {source} ({n_samples} samples)")
     print(SUMMARY_CSV_HEADER)
     for record in records:
         print(summary_csv_row(record))

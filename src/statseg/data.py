@@ -34,6 +34,9 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if len(self.roi_fraction_range) != 2:
+            raise InvalidConfigError(
+                f"roi_fraction_range must hold two numbers, got {self.roi_fraction_range}")
         lo, hi = self.roi_fraction_range
         if not (0.0 < lo < hi < 0.5):
             raise InvalidConfigError(f"roi_fraction_range must satisfy 0 < lo < hi < 0.5, got {(lo, hi)}")

@@ -93,35 +93,22 @@ def summary_csv_row(record) -> str:
             f"{record.pred_std:.6f},{record.epochs},{record.seed}")
 
 
-def emit_report(records, out_dir) -> list:
-    """Write summary.csv, per-run epochs.csv + summary.json, and PGM overlays.
-
-    Returns the list of paths written.
-    """
+def emit_report(records, out_dir):
+    """Write summary.csv, per-run epochs.csv + summary.json, and PGM overlays."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
 
-    summary = out_dir / "summary.csv"
     lines = [SUMMARY_CSV_HEADER] + [summary_csv_row(r) for r in records]
-    summary.write_text("\n".join(lines) + "\n")
-    written.append(summary)
+    (out_dir / "summary.csv").write_text("\n".join(lines) + "\n")
 
     for record in records:
         run_dir = out_dir / record.name
         run_dir.mkdir(parents=True, exist_ok=True)
-        epochs_csv = run_dir / "epochs.csv"
-        epochs_csv.write_text("\n".join(_epoch_csv_lines(record)) + "\n")
-        written.append(epochs_csv)
-
-        summary_json = run_dir / "summary.json"
-        summary_json.write_text(json.dumps(record.summary_dict(), indent=2) + "\n")
-        written.append(summary_json)
+        (run_dir / "epochs.csv").write_text("\n".join(_epoch_csv_lines(record)) + "\n")
+        (run_dir / "summary.json").write_text(json.dumps(record.summary_dict(), indent=2) + "\n")
 
         for k, (img, gt, weak, predmask) in enumerate(record.overlays):
             for kind, grid in (("input", img), ("gt", gt),
                                ("weak", weak), ("pred", predmask)):
-                path = run_dir / f"sample{k}.{kind}.pgm"
-                write_pgm(path, np.rint(as_array(grid) * 255.0).astype(np.uint8))
-                written.append(path)
-    return written
+                write_pgm(run_dir / f"sample{k}.{kind}.pgm",
+                          np.rint(as_array(grid) * 255.0).astype(np.uint8))

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .errors import (InvalidConfigError, NonFiniteGradientError,
-                     NonFiniteLossError)
+                     NonFiniteLossError, ShapeMismatchError)
 from .evaluation import binarize, evaluate_predictions
 from .grid import Mask
 from .losses import LossReport, LossWeights, total_loss
@@ -24,27 +24,27 @@ MODE_WEIGHTS = {
 }
 MODES = tuple(MODE_WEIGHTS)
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+# Prediction bits depend on the batch size: at 64x64, B=4 and B=16 passes
+# differ by up to 1.1e-16, so every eval pass uses this one size.
+EVAL_BATCH_SIZE = 16
+
 
 @dataclass
 class OptimizerState:
-    """Adam with standard bias correction; moments stored as flat vectors."""
+    """Adam with standard bias correction; moments start at 0.0 and become flat vectors."""
 
-    n_params: int
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
-    m: np.ndarray = field(default=None, repr=False)
-    v: np.ndarray = field(default=None, repr=False)
+    m: float | np.ndarray = field(default=0.0, repr=False)
+    v: float | np.ndarray = field(default=0.0, repr=False)
 
     def __post_init__(self):
         if self.learning_rate < 0:
             raise ValueError("learning rate must be non-negative")
-        if self.m is None:
-            self.m = np.zeros(self.n_params)
-        if self.v is None:
-            self.v = np.zeros(self.n_params)
 
 
 def optimizer_step(params: ModelParams, grads: ModelParams,
@@ -53,11 +53,11 @@ def optimizer_step(params: ModelParams, grads: ModelParams,
     if not np.all(np.isfinite(g)):
         raise NonFiniteGradientError("gradient contains NaN or infinity")
     t = state.step_count + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    update = state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    update = state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return (ModelParams(params.config, params.flat - update),
             replace(state, step_count=t, m=m, v=v))
 
@@ -99,6 +99,10 @@ class AblationConfig:
                 "learning_rate": self.learning_rate, "seed": self.seed}
 
 
+# the per-epoch lists go to epochs.csv; parameters and overlays to their own files
+_NOT_IN_SUMMARY = {"epoch_losses", "epoch_ious", "final_params_flat", "overlays"}
+
+
 @dataclass
 class RunRecord:
     name: str
@@ -117,35 +121,32 @@ class RunRecord:
     final_train_loss: float
     wall_seconds: float
     config: dict
-    model_config: ModelConfig = field(repr=False, default=None)
     final_params_flat: np.ndarray = field(repr=False, default=None)
     overlays: list = field(repr=False, default_factory=list)
 
     def summary_dict(self) -> dict:
         # wall_seconds deliberately lives only here, not in any CSV,
         # so reruns produce byte-identical CSVs
-        return {"name": self.name, "mode": self.mode, "coverage": self.coverage,
-                "seed": self.seed, "epochs": self.epochs,
-                "final_iou": self.final_iou, "degenerate": self.degenerate,
-                "degenerate_fraction": self.degenerate_fraction,
-                "pred_mean": self.pred_mean, "pred_std": self.pred_std,
-                "initial_train_loss": self.initial_train_loss,
-                "final_train_loss": self.final_train_loss,
-                "wall_seconds": self.wall_seconds,
-                "config": self.config}
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in _NOT_IN_SUMMARY}
 
 
-def _stack(samples, idx, name: str) -> np.ndarray:
-    """(B, H, W) array of one grid field of the samples at idx."""
-    return np.stack([getattr(samples[i], name).values for i in idx])
+def _images(samples, idx) -> np.ndarray:
+    """(B, 1, H, W) array of the images of the samples at idx."""
+    return np.stack([samples[i].image.values for i in idx])[:, None]
 
 
-def _batch_losses(samples, weak, idx, x, pred_b, recon_b, weights):
-    """One total_loss over a batch; gradients already divided by batch size.
+def _batch(params, samples, masks, idx, weights):
+    """Forward pass and total_loss of the samples at idx.
 
-    `weak` is the run's (N, H, W) boolean weak-mask stack, indexed like samples.
+    `masks` is the run's (gt, weak) pair of (N, H, W) boolean stacks, indexed
+    like samples; the losses read them as 0.0/1.0. Returns the loss report, the
+    forward cache, and the gradients already divided by the batch size.
     """
-    rep, d_pred, d_recon = total_loss(x[:, 0], _stack(samples, idx, "gt"), weak[idx],
+    gt, weak = masks
+    x = _images(samples, idx)
+    pred_b, recon_b, cache = _forward_batch(params, x)
+    rep, d_pred, d_recon = total_loss(x[:, 0], gt[idx], weak[idx],
                                       pred_b[:, 0], recon_b[:, 0], weights)
     bad = np.flatnonzero(~np.isfinite(rep.total))
     if bad.size:
@@ -153,7 +154,7 @@ def _batch_losses(samples, weak, idx, x, pred_b, recon_b, weights):
         terms = ", ".join(f"{f.name}={getattr(rep, f.name)[k]}" for f in fields(LossReport))
         raise NonFiniteLossError(f"non-finite loss on sample {idx[k]}: {terms}")
     bsz = len(idx)
-    return rep, d_pred[:, None] / bsz, d_recon[:, None] / bsz
+    return rep, cache, d_pred[:, None] / bsz, d_recon[:, None] / bsz
 
 
 def _mean_report(reports) -> LossReport:
@@ -164,23 +165,20 @@ def _mean_report(reports) -> LossReport:
     return LossReport(**{name: sum(v) / len(v) for name, v in per_sample.items()})
 
 
-def _mean_total(params, samples, weak, idx, weights, batch_size) -> float:
-    reports = []
-    for start in range(0, len(idx), batch_size):
-        chunk = idx[start:start + batch_size]
-        x = _stack(samples, chunk, "image")[:, None]
-        pred_b, recon_b, _ = _forward_batch(params, x)
-        reports.append(_batch_losses(samples, weak, chunk, x, pred_b, recon_b, weights)[0])
+def _mean_total(params, samples, masks, idx, weights, batch_size) -> float:
+    reports = [_batch(params, samples, masks, idx[start:start + batch_size], weights)[0]
+               for start in range(0, len(idx), batch_size)]
     return _mean_report(reports).total
 
 
-def _eval_predictions(params, samples, idx, batch_size=16):
+def _eval_predictions(params, samples, idx):
     """(H, W) prediction arrays of the samples at idx, in order."""
     preds = []
-    for start in range(0, len(idx), batch_size):
-        chunk = idx[start:start + batch_size]
-        pred_b, _, _ = _forward_batch(params, _stack(samples, chunk, "image")[:, None])
-        preds.extend(pred_b[:, 0])
+    for start in range(0, len(idx), EVAL_BATCH_SIZE):
+        chunk = idx[start:start + EVAL_BATCH_SIZE]
+        # keep only pred: a chunk's activation cache is freed before the next
+        # chunk's forward, which is where a run's memory peaked
+        preds.extend(_forward_batch(params, _images(samples, chunk))[0][:, 0])
     return preds
 
 
@@ -188,13 +186,19 @@ def run_name(config: AblationConfig) -> str:
     return f"{config.mode}_cov{config.weak_coverage:g}_seed{config.seed}"
 
 
-# overflow ends in a non-finite loss or gradient, which _batch_losses and
+# overflow ends in a non-finite loss or gradient, which _batch and
 # optimizer_step report as one error; numpy's warnings would only repeat it
 @np.errstate(over="ignore", invalid="ignore")
 def train(dataset, config: AblationConfig, model_config: ModelConfig) -> RunRecord:
     """Mini-batch training with a deterministic 80/20 split keyed on config.seed."""
     if not dataset:
         raise ValueError("dataset must be non-empty")
+    size = model_config.input_size
+    for s in dataset:
+        if s.image.shape != size:
+            raise ShapeMismatchError(
+                f"dataset grids are {s.image.shape.height}x{s.image.shape.width} "
+                f"but the model input is {size.height}x{size.width}")
     t0 = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     n = len(dataset)
@@ -207,13 +211,15 @@ def train(dataset, config: AblationConfig, model_config: ModelConfig) -> RunReco
 
     # one fixed annotation effort per run: the only place weak masks are
     # derived, once at the configured coverage, never re-eroded during training
-    weak = weak_mask(np.stack([s.gt.values == 1.0 for s in dataset]), config.weak_coverage)
+    gt = np.stack([s.gt.values == 1.0 for s in dataset])
+    weak = weak_mask(gt, config.weak_coverage)
+    masks = gt, weak
 
     params = init_params(model_config)
-    state = OptimizerState(n_params=params.n_params, learning_rate=config.learning_rate)
+    state = OptimizerState(learning_rate=config.learning_rate)
     weights = config.weights
 
-    initial_train_loss = _mean_total(params, dataset, weak, train_idx, weights, config.batch_size)
+    initial_train_loss = _mean_total(params, dataset, masks, train_idx, weights, config.batch_size)
 
     eval_samples = [dataset[i] for i in eval_idx]
     epoch_losses, epoch_ious = [], []
@@ -221,11 +227,8 @@ def train(dataset, config: AblationConfig, model_config: ModelConfig) -> RunReco
         order = rng.permutation(train_idx)
         epoch_reports = []
         for start in range(0, len(order), config.batch_size):
-            chunk = order[start:start + config.batch_size]
-            x = _stack(dataset, chunk, "image")[:, None]
-            pred_b, recon_b, cache = _forward_batch(params, x)
-            rep, d_pred, d_recon = _batch_losses(dataset, weak, chunk, x, pred_b, recon_b,
-                                                 weights)
+            rep, cache, d_pred, d_recon = _batch(
+                params, dataset, masks, order[start:start + config.batch_size], weights)
             epoch_reports.append(rep)
             grads = _backward_batch(params, cache, d_pred, d_recon)
             params, state = optimizer_step(params, grads, state)
@@ -237,7 +240,7 @@ def train(dataset, config: AblationConfig, model_config: ModelConfig) -> RunReco
         eval_preds = _eval_predictions(params, dataset, eval_idx)
         report = evaluate_predictions(eval_preds, eval_samples)
 
-    final_train_loss = _mean_total(params, dataset, weak, train_idx, weights, config.batch_size)
+    final_train_loss = _mean_total(params, dataset, masks, train_idx, weights, config.batch_size)
 
     overlays = [(dataset[i].image, dataset[i].gt, Mask(weak[i]), binarize(p, report.threshold))
                 for i, p in list(zip(eval_idx, eval_preds))[:4]]
@@ -251,7 +254,7 @@ def train(dataset, config: AblationConfig, model_config: ModelConfig) -> RunReco
         pred_mean=report.pred_mean, pred_std=report.pred_std,
         initial_train_loss=initial_train_loss, final_train_loss=final_train_loss,
         wall_seconds=time.perf_counter() - t0, config=config.as_dict(),
-        model_config=model_config, final_params_flat=params.flatten(),
+        final_params_flat=params.flatten(),
         overlays=overlays)
 
 

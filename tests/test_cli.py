@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from statseg import data
 from statseg.cli import main
 from statseg.pgm import write_pgm
 
@@ -227,6 +228,7 @@ TINY_MODEL = {"height": 8, "width": 8}
 
 @pytest.mark.parametrize("command,doc", [
     ("synth", {"synth": dict(TINY_SYNTH, roi_fraction_range=5)}),
+    ("synth", {"synth": dict(TINY_SYNTH, roi_fraction_range=[0.05, 0.2, 7])}),
     ("train", {"synth": [], "model": TINY_MODEL, "ablation": {"mode": "combined"}}),
     ("train", {"synth": TINY_SYNTH, "model": [], "ablation": {"mode": "combined"}}),
     ("ablate", {"synth": TINY_SYNTH, "model": TINY_MODEL, "grid": [1]}),
@@ -234,7 +236,7 @@ TINY_MODEL = {"height": 8, "width": 8}
     ("ablate", {"synth": TINY_SYNTH, "model": TINY_MODEL, "epochs": float("inf")}),
     ("ablate", {"synth": TINY_SYNTH, "model": TINY_MODEL, "grid_seeds": 5}),
     ("ablate", {"dataset_dir": 5, "model": TINY_MODEL}),
-], ids=["roi_range_int", "synth_list", "model_list", "grid_entry_int",
+], ids=["roi_range_int", "roi_range_three", "synth_list", "model_list", "grid_entry_int",
         "epochs_list", "epochs_inf", "grid_seeds_int", "dataset_dir_int"])
 def test_wrong_typed_value_exits_1(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, dict(doc, out_dir=str(tmp_path / "out")))
@@ -306,6 +308,50 @@ def test_bad_learning_rate_exits_1(tmp_path, capsys, command, lr):
     assert main([command, "--config", cfg]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "learning_rate" in err[0]
+
+
+def test_train_model_of_another_grid_size_exits_2(tmp_path, capsys):
+    doc = train_doc(tmp_path, tmp_path / "out")
+    doc["model"].update(height=64, width=64)
+    cfg = write_config(tmp_path, doc)
+    assert main(["train", "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "16x16" in err[0] and "64x64" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_ablate_seed_flag_overrides_grid_seeds(tmp_path):
+    doc = {"synth": TINY_SYNTH, "model": TINY_MODEL, "grid_seeds": [3], "epochs": 0,
+           "coverages": [0.5], "out_dir": str(tmp_path / "out")}
+    cfg = write_config(tmp_path, doc)
+    assert main(["ablate", "--config", cfg, "--seed", "9"]) == 0
+    run_dirs = sorted(p for p in (tmp_path / "out").iterdir() if p.is_dir())
+    assert [p.name for p in run_dirs] == ["combined_cov0.5_seed9", "fully_supervised_cov0.08_seed9",
+                                          "stats_only_cov0.08_seed9", "weak_only_cov0.08_seed9"]
+    for run_dir in run_dirs:
+        summary = json.loads((run_dir / "summary.json").read_text())
+        assert summary["seed"] == summary["config"]["seed"] == 9
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("train", {"model": TINY_MODEL, "ablation": {"mode": "nope"}, "out_dir": "out"}),
+    ("train", {"model": dict(TINY_MODEL, base_channels=0), "ablation": {"mode": "combined"},
+               "out_dir": "out"}),
+    ("ablate", {"model": TINY_MODEL, "grid": [{"mode": "nope"}], "out_dir": "out"}),
+    ("ablate", {"model": dict(TINY_MODEL, base_channels=0), "out_dir": "out"}),
+    ("ablate", {"model": TINY_MODEL}),
+], ids=["train_mode", "train_base_channels", "ablate_mode", "ablate_base_channels",
+        "no_out_dir"])
+def test_sections_checked_before_the_dataset(tmp_path, monkeypatch, capsys, command, doc):
+    def no_dataset(*args):
+        pytest.fail("the dataset was built before every section was checked")
+
+    monkeypatch.setattr(data, "generate_synthetic", no_dataset)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, dict(doc, synth=TINY_SYNTH))
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,7 +1,10 @@
 """The benchmark's tracer must still find every statseg attribute it wraps."""
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
+import json
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -55,4 +58,27 @@ def test_tracer_records_a_training_run():
     for span in ("losses.total_loss", "training.loss_pass", "training.eval_pass",
                  "evaluation.evaluate", "grid.construct", "morphology.weak_mask",
                  "model.forward_batch", "training.adam"):
+        assert tracer.stats.get(span, [0])[0] > 0, span
+
+
+def test_tracer_records_the_train_command(tmp_path):
+    """statseg train runs the shared ablate path: every span the benchmark reads records."""
+    tr = _load_tracer()
+    mods = {name: importlib.import_module(f"statseg.{name}") for name in _traced_module_names()}
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({
+        "synth": {"height": 8, "width": 8, "n_samples": 4, "seed": 0},
+        "model": {"height": 8, "width": 8, "base_channels": 2},
+        "ablation": {"mode": "combined", "epochs": 1, "batch_size": 2},
+        "out_dir": str(tmp_path / "out")}))
+    tracer = tr.Tracer()
+    try:
+        tr.install(tracer, mods)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert mods["cli"].main(["train", "--config", str(config)]) == 0
+    finally:
+        tracer.restore()
+    assert tr.leftover_wrappers(mods) == []
+    for span in ("cli.train", "training.train", "evaluation.emit_report",
+                 "model.checkpoint_write", "model.params_from_flat"):
         assert tracer.stats.get(span, [0])[0] > 0, span

@@ -7,7 +7,8 @@ import pytest
 from statseg import training
 from statseg.data import Sample, SynthConfig, generate_synthetic
 from statseg.errors import (EmptyMaskError, InvalidConfigError,
-                            NonFiniteGradientError, NonFiniteLossError)
+                            NonFiniteGradientError, NonFiniteLossError,
+                            ShapeMismatchError)
 from statseg.evaluation import binarize, evaluate_predictions
 from statseg.grid import GridShape, Mask
 from statseg.losses import LossWeights
@@ -35,9 +36,7 @@ def tiny_config(**kwargs):
 
 def scalar_adam_fixture():
     cfg = ModelConfig(GridShape(4, 4), base_channels=1, seed=0)
-    params = init_params(cfg)
-    n = params.n_params
-    return cfg, params, OptimizerState(n_params=n, learning_rate=0.01)
+    return cfg, init_params(cfg), OptimizerState(learning_rate=0.01)
 
 
 def test_optimizer_zero_gradient_is_noop():
@@ -95,19 +94,34 @@ def test_ablation_config_mode_weight_invariants():
         AblationConfig(mode="unknown")
 
 
-def test_batch_losses_names_the_nonfinite_sample():
+def test_batch_losses_names_the_nonfinite_sample(monkeypatch):
     dataset = tiny_dataset(5)
-    weak = weak_mask(np.stack([s.gt.values == 1.0 for s in dataset]), 0.08)
+    gt = np.stack([s.gt.values == 1.0 for s in dataset])
+    masks = gt, weak_mask(gt, 0.08)
     idx = np.array([4, 2, 0])
     rng = np.random.default_rng(0)
-    x = np.stack([dataset[i].image.values for i in idx])[:, None]
-    pred_b = rng.uniform(0.1, 0.9, x.shape)
-    recon_b = rng.uniform(0.1, 0.9, x.shape)
+    pred_b = rng.uniform(0.1, 0.9, (3, 1, 16, 16))
+    recon_b = rng.uniform(0.1, 0.9, (3, 1, 16, 16))
+    monkeypatch.setattr(training, "_forward_batch", lambda params, x: (pred_b, recon_b, None))
+    params = init_params(MODEL)
     weights = weights_for_mode("combined")
-    training._batch_losses(dataset, weak, idx, x, pred_b, recon_b, weights)
+    training._batch(params, dataset, masks, idx, weights)
     pred_b[1, 0, 3, 3] = np.nan
     with pytest.raises(NonFiniteLossError, match=r"on sample 2: .*total=nan"):
-        training._batch_losses(dataset, weak, idx, x, pred_b, recon_b, weights)
+        training._batch(params, dataset, masks, idx, weights)
+
+
+@pytest.mark.parametrize("data_size,model_size", [(16, 64), (18, 16)])
+def test_train_rejects_a_model_of_another_grid_size(monkeypatch, data_size, model_size):
+    def no_work(*args):
+        pytest.fail("train() derived weak masks before checking the shapes")
+
+    monkeypatch.setattr(training, "weak_mask", no_work)
+    cfg = SynthConfig(shape=GridShape(data_size, data_size), n_samples=4, seed=0)
+    model = ModelConfig(GridShape(model_size, model_size), base_channels=2)
+    with pytest.raises(ShapeMismatchError,
+                       match=rf"{data_size}x{data_size} .* {model_size}x{model_size}"):
+        train(generate_synthetic(cfg), tiny_config(), model)
 
 
 def test_train_names_the_sample_with_an_empty_ground_truth():
@@ -183,9 +197,9 @@ def test_train_derives_weak_masks_itself():
 def test_train_scores_final_params_once(monkeypatch, epochs):
     calls = []
 
-    def spy(params, samples, idx, batch_size=16):
+    def spy(params, samples, idx):
         calls.append((params.flatten(), samples, idx))
-        return eval_predictions(params, samples, idx, batch_size)
+        return eval_predictions(params, samples, idx)
 
     eval_predictions = training._eval_predictions
     monkeypatch.setattr(training, "_eval_predictions", spy)
