@@ -79,21 +79,6 @@ class Sample:
             raise ValueError("weak mask must be a subset of the ground truth")
 
 
-@dataclass(frozen=True)
-class MaskStack:
-    masks: tuple
-
-    def __post_init__(self):
-        masks = tuple(self.masks)
-        object.__setattr__(self, "masks", masks)
-        if len(masks) == 0:
-            raise EmptyStackError("mask stack must contain at least one slice")
-        shape = masks[0].shape
-        for m in masks[1:]:
-            if m.shape != shape:
-                raise ShapeMismatchError("all slices in a stack must share one shape")
-
-
 _MAX_ATTEMPTS = 500
 
 
@@ -133,10 +118,15 @@ def generate_synthetic(config: SynthConfig) -> list:
     return samples
 
 
-def select_largest_roi_slice(stack: MaskStack) -> int:
-    """Index of the slice with the most foreground; ties go to the lowest index."""
-    counts = [foreground_count(m) for m in stack.masks]
-    if max(counts) == 0:
+def select_largest_roi_slice(stack) -> int:
+    """Index of the slice of a boolean (N, H, W) stack with the most foreground.
+
+    Ties go to the lowest index.
+    """
+    if len(stack) == 0:
+        raise EmptyStackError("mask stack must contain at least one slice")
+    counts = np.count_nonzero(stack, axis=(1, 2))
+    if counts.max() == 0:
         raise AllSlicesEmptyError("every slice has zero foreground")
     return int(np.argmax(counts))
 
@@ -165,11 +155,13 @@ def load_dataset(dir_path) -> list:
     """Load all `<stem>.img.pgm` / `<stem>.mask.pgm` pairs, sorted by stem.
 
     Pairs with an all-zero mask raise EmptyMaskError rather than being
-    skipped silently.
+    skipped silently, and a directory with no pair raises MissingPairError.
     """
     dir_path = Path(dir_path)
     imgs = sorted(dir_path.glob("*.img.pgm"))
     mask_stems = {p.name[:-len(".mask.pgm")] for p in dir_path.glob("*.mask.pgm")}
+    if not imgs and not mask_stems:
+        raise MissingPairError(f"{dir_path}: no .img.pgm / .mask.pgm pairs found")
     img_stems = [p.name[:-len(".img.pgm")] for p in imgs]
     for stem in sorted(mask_stems.difference(img_stems)):
         raise MissingPairError(f"{dir_path / (stem + '.mask.pgm')}: no matching image")
@@ -189,8 +181,9 @@ def load_dataset(dir_path) -> list:
     return samples
 
 
-def load_mask_stack(dir_path) -> MaskStack:
-    """Read a volume directory of `<stem>.slice<k>.mask.pgm`, k contiguous from 0."""
+def load_mask_stack(dir_path) -> np.ndarray:
+    """Read a volume directory of `<stem>.slice<k>.mask.pgm`, k contiguous from 0,
+    as a boolean (N, H, W) stack."""
     dir_path = Path(dir_path)
     found = {}
     for p in sorted(dir_path.iterdir()) if dir_path.is_dir() else []:
@@ -202,7 +195,10 @@ def load_mask_stack(dir_path) -> MaskStack:
     n = len(found)
     if sorted(found) != list(range(n)):
         raise MissingPairError(f"{dir_path}: slice indices not contiguous from 0")
-    return MaskStack(tuple(read_mask_pgm(found[k]) for k in range(n)))
+    masks = [read_mask_pgm(found[k]).values == 1.0 for k in range(n)]
+    if any(m.shape != masks[0].shape for m in masks):
+        raise ShapeMismatchError("all slices in a stack must share one shape")
+    return np.stack(masks)
 
 
 # Benchmark presets used by the acceptance suite and the experiment scripts.

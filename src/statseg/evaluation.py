@@ -18,9 +18,9 @@ DEGENERATE_MEAN_TOL = 0.10
 SUMMARY_CSV_HEADER = "mode,coverage,final_iou,degenerate,mean_pred,std_pred,epochs,seed"
 
 
-def binarize(pred, threshold: float = DEFAULT_THRESHOLD) -> Mask:
-    """1 where pred >= threshold (inclusive)."""
-    return Mask((as_array(pred) >= threshold).astype(np.float64))
+def binarize(pred) -> Mask:
+    """1 where pred >= DEFAULT_THRESHOLD (inclusive)."""
+    return Mask((as_array(pred) >= DEFAULT_THRESHOLD).astype(np.float64))
 
 
 def iou(pred, gt):
@@ -59,15 +59,14 @@ class EvalReport:
     degenerate_fraction: float
     pred_mean: float            # pooled over all predictions
     pred_std: float
-    threshold: float
 
 
-def evaluate_predictions(preds, samples, threshold: float = DEFAULT_THRESHOLD) -> EvalReport:
+def evaluate_predictions(preds, samples) -> EvalReport:
     """Score soft predictions against their samples' ground truth."""
     if len(preds) != len(samples):
         raise ValueError("one prediction per sample required")
     p = np.stack([as_array(pred) for pred in preds])
-    ious = iou(p >= threshold, np.stack([s.gt.values for s in samples]))
+    ious = iou(p >= DEFAULT_THRESHOLD, np.stack([s.gt.values for s in samples]))
     flags = detect_degenerate(p, np.array([s.stat for s in samples])).flagged
     frac = float(flags.mean())
     return EvalReport(ious=tuple(ious.tolist()),
@@ -75,8 +74,7 @@ def evaluate_predictions(preds, samples, threshold: float = DEFAULT_THRESHOLD) -
                       degenerate=frac > 0.5,
                       degenerate_fraction=frac,
                       pred_mean=float(p.mean()),
-                      pred_std=float(p.std()),
-                      threshold=threshold)
+                      pred_std=float(p.std()))
 
 
 def _epoch_csv_lines(record) -> list:

@@ -21,10 +21,6 @@ class GridShape:
         if self.height < 1 or self.width < 1:
             raise ValueError(f"grid shape must be at least 1x1, got {self.height}x{self.width}")
 
-    @property
-    def n_pixels(self) -> int:
-        return self.height * self.width
-
 
 class Grid:
     """Base of the grid types: a non-empty 2-D float64 array, read-only once set."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -241,12 +241,10 @@ def _upconv_backward(dy, x, w):
 
 @dataclass
 class ForwardTrace:
-    """Outputs plus the activations needed by the backward pass."""
+    """One image's outputs."""
 
     pred: SoftMask
     recon: Image
-    params: "ModelParams" = field(repr=False, default=None)
-    cache: dict = field(repr=False, default_factory=dict)
 
 
 def _forward_batch(params: ModelParams, x: np.ndarray):
@@ -265,7 +263,8 @@ def _forward_batch(params: ModelParams, x: np.ndarray):
 
 
 def _backward_batch(params: ModelParams, cache: dict,
-                    d_pred: np.ndarray, d_recon: np.ndarray) -> ModelParams:
+                    d_pred: np.ndarray, d_recon: np.ndarray) -> np.ndarray:
+    """Gradient of every parameter as one flat float64 vector, laid out like params.flat."""
     t = params.tensors
     g = {}
     dz_seg = d_pred * cache["pred"] * (1.0 - cache["pred"])
@@ -282,28 +281,19 @@ def _backward_batch(params: ModelParams, cache: dict,
     da1, g["enc2.w"], g["enc2.b"] = _conv2d_backward(dz2, cache["a1"], t["enc2.w"], stride=2)
     dz1 = da1 * (cache["a1"] > 0.0)
     _, g["enc1.w"], g["enc1.b"] = _conv2d_backward(dz1, cache["x"], t["enc1.w"], dx=False)
-    flat = np.concatenate([g[name].ravel()
+    return np.concatenate([g[name].ravel()
                            for name, _ in param_shapes(params.config.base_channels)])
-    return ModelParams(params.config, flat)
 
 
 def forward(params: ModelParams, image: Image) -> ForwardTrace:
+    """One-image inference; training runs _forward_batch and _backward_batch."""
     size = params.config.input_size
     if image.shape != size:
         raise ShapeMismatchError(
             f"image shape {image.shape} does not match model input {size}")
     x = image.values[None, None, :, :]
-    pred, recon, cache = _forward_batch(params, x)
-    return ForwardTrace(pred=SoftMask(pred[0, 0]), recon=Image(recon[0, 0]),
-                        params=params, cache=cache)
-
-
-def backward(trace: ForwardTrace, d_pred: np.ndarray, d_recon: np.ndarray) -> ModelParams:
-    shape = trace.cache["pred"].shape[2:]
-    if d_pred.shape != shape or d_recon.shape != shape:
-        raise ShapeMismatchError("gradient grids must match the output shape")
-    return _backward_batch(trace.params, trace.cache,
-                           d_pred[None, None, :, :], d_recon[None, None, :, :])
+    pred, recon, _ = _forward_batch(params, x)
+    return ForwardTrace(pred=SoftMask(pred[0, 0]), recon=Image(recon[0, 0]))
 
 
 def save_checkpoint(params: ModelParams, path):

@@ -7,31 +7,13 @@ of array operations over the whole stack.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import EmptyMaskError
 from .grid import Mask, centroid_pixel
 
-
-@dataclass(frozen=True)
-class StructuringElement:
-    """Symmetric point set of (drow, dcol) offsets containing the origin."""
-
-    offsets: frozenset
-
-    def __post_init__(self):
-        offs = frozenset((int(r), int(c)) for r, c in self.offsets)
-        object.__setattr__(self, "offsets", offs)
-        if (0, 0) not in offs:
-            raise ValueError("structuring element must contain (0, 0)")
-        for r, c in offs:
-            if (-r, -c) not in offs:
-                raise ValueError("structuring element must be symmetric under negation")
-
-
-CROSS = StructuringElement(frozenset({(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}))
+# the structuring element: each pixel and its four edge neighbors, as (drow, dcol)
+CROSS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
 
 
 def _foreground(mask) -> np.ndarray:
@@ -41,24 +23,23 @@ def _foreground(mask) -> np.ndarray:
     return np.asarray(mask, dtype=bool)
 
 
-def erode(mask, se: StructuringElement = CROSS) -> Mask | np.ndarray:
-    """Keep a pixel only if its whole SE neighborhood is foreground.
+def erode(mask) -> Mask | np.ndarray:
+    """Keep a pixel only if its whole CROSS neighborhood is foreground.
 
     Pixels outside the grid count as background, so regions touching the
     border shrink too.
     """
     fg = _foreground(mask)
     h, w = fg.shape[-2:]
-    m = max(max(abs(r), abs(c)) for r, c in se.offsets)
-    padded = np.zeros(fg.shape[:-2] + (h + 2 * m, w + 2 * m), dtype=bool)
-    padded[..., m:m + h, m:m + w] = fg
+    padded = np.zeros(fg.shape[:-2] + (h + 2, w + 2), dtype=bool)
+    padded[..., 1:1 + h, 1:1 + w] = fg
     out = fg.copy()
-    for dr, dc in se.offsets:
-        out &= padded[..., m + dr:m + dr + h, m + dc:m + dc + w]
+    for dr, dc in CROSS:
+        out &= padded[..., 1 + dr:1 + dr + h, 1 + dc:1 + dc + w]
     return Mask(out) if isinstance(mask, Mask) else out
 
 
-def weak_mask(gt, coverage: float, se: StructuringElement = CROSS) -> Mask | np.ndarray:
+def weak_mask(gt, coverage: float) -> Mask | np.ndarray:
     """Erode gt until its foreground count drops to ceil(coverage * count).
 
     Always returns a non-empty subset of gt: if an erosion step would empty
@@ -80,16 +61,18 @@ def weak_mask(gt, coverage: float, se: StructuringElement = CROSS) -> Mask | np.
     count = n.copy()
     live = np.flatnonzero(count > target)  # grids that still erode
     while live.size:
-        nxt = erode(stack[live], se)
+        nxt = erode(stack[live])
         ncount = np.count_nonzero(nxt, axis=(1, 2))
         for k in live[(ncount == 0) & (count[live] == n[live])]:
             # the first erosion emptied gt: keep its centroid pixel
             r, c = centroid_pixel(stack[k])
             stack[k] = False
             stack[k, r, c] = True
-        # an emptying erosion keeps the previous iterate; equal counts are a fixed point
-        moved = (ncount > 0) & (ncount < count[live])
-        live, nxt, ncount = live[moved], nxt[moved], ncount[moved]
+        # an emptying erosion keeps the previous iterate; any other erosion
+        # removes at least the grid's topmost pixel (its upper neighbor is
+        # background), so the count always falls and the loop ends
+        kept = ncount > 0
+        live, nxt, ncount = live[kept], nxt[kept], ncount[kept]
         stack[live] = nxt
         count[live] = ncount
         live = live[ncount > target[live]]

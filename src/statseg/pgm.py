@@ -6,17 +6,16 @@ import numpy as np
 from .errors import MalformedFileError
 
 
-def write_pgm(path, values: np.ndarray, maxval: int = 255):
+def write_pgm(path, values: np.ndarray):
+    """Write a 2-D array of values in [0, 255] with maxval 255."""
     arr = np.asarray(values)
     if arr.ndim != 2:
         raise ValueError("PGM payload must be 2-D")
-    if not 1 <= maxval <= 255:
-        raise ValueError("maxval must be in [1, 255]")
-    if arr.min() < 0 or arr.max() > maxval:
-        raise ValueError("pixel values outside [0, maxval]")
+    if arr.min() < 0 or arr.max() > 255:
+        raise ValueError("pixel values outside [0, 255]")
     h, w = arr.shape
     with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n{maxval}\n".encode("ascii"))
+        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(arr.astype(np.uint8).tobytes())
 
 

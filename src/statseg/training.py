@@ -47,9 +47,9 @@ class OptimizerState:
             raise ValueError("learning rate must be non-negative")
 
 
-def optimizer_step(params: ModelParams, grads: ModelParams,
+def optimizer_step(params: ModelParams, g: np.ndarray,
                    state: OptimizerState) -> tuple[ModelParams, OptimizerState]:
-    g = grads.flat
+    """One Adam step; g is the flat gradient vector, laid out like params.flat."""
     if not np.all(np.isfinite(g)):
         raise NonFiniteGradientError("gradient contains NaN or infinity")
     t = state.step_count + 1
@@ -242,7 +242,7 @@ def train(dataset, config: AblationConfig, model_config: ModelConfig) -> RunReco
 
     final_train_loss = _mean_total(params, dataset, masks, train_idx, weights, config.batch_size)
 
-    overlays = [(dataset[i].image, dataset[i].gt, Mask(weak[i]), binarize(p, report.threshold))
+    overlays = [(dataset[i].image, dataset[i].gt, Mask(weak[i]), binarize(p))
                 for i, p in list(zip(eval_idx, eval_preds))[:4]]
 
     return RunRecord(

@@ -134,6 +134,14 @@ def test_slice_select_empty_dir_exits_2(tmp_path):
     assert main(["slice-select", str(tmp_path)]) == 2
 
 
+def test_slice_select_mixed_shapes_exits_2(tmp_path, capsys):
+    write_pgm(tmp_path / "v.slice0.mask.pgm", np.full((4, 4), 255, dtype=np.uint8))
+    write_pgm(tmp_path / "v.slice1.mask.pgm", np.full((4, 5), 255, dtype=np.uint8))
+    assert main(["slice-select", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: all slices in a stack must share one shape"]
+
+
 def test_score(tmp_path, capsys):
     a = np.zeros((2, 2), dtype=np.uint8)
     a[0, 0] = a[0, 1] = 255
@@ -220,6 +228,22 @@ def test_ablate_dataset_dir_must_exist(tmp_path):
            "model": {"height": 16, "width": 16}, "out_dir": str(tmp_path / "o")}
     cfg = write_config(tmp_path, doc)
     assert main(["ablate", "--config", cfg]) == 1
+
+
+@pytest.mark.parametrize("command,section", [
+    ("train", {"ablation": {"mode": "combined", "epochs": 1}}),
+    ("ablate", {"epochs": 1}),
+])
+def test_empty_dataset_dir_exits_2(tmp_path, capsys, command, section):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    doc = {"dataset_dir": str(empty), "model": {"height": 16, "width": 16},
+           "out_dir": str(tmp_path / "o"), **section}
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(empty) in err[0]
+    assert not (tmp_path / "o").exists()
 
 
 TINY_SYNTH = {"height": 8, "width": 8, "n_samples": 2}
@@ -365,6 +389,19 @@ def test_train_nonfinite_loss_exits_3(tmp_path, capsys):
     assert main(["train", "--config", cfg]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: non-finite loss")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_diverging_gradient_exits_3(tmp_path, capsys):
+    doc = {"synth": dict(TINY_SYNTH, n_samples=4, seed=0),
+           "model": dict(TINY_MODEL, base_channels=2, seed=0),
+           "ablation": {"mode": "stats_only", "epochs": 4, "batch_size": 2,
+                        "learning_rate": 1e62},
+           "out_dir": str(tmp_path / "out")}
+    cfg = write_config(tmp_path, doc)
+    assert main(["train", "--config", cfg]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: gradient contains NaN or infinity"]
 
 
 # Tiny valid configs, one per config-reading command: each runs in well under

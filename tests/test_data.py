@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from statseg.data import (MaskStack, Sample, SynthConfig, generate_synthetic,
+from statseg.data import (Sample, SynthConfig, generate_synthetic,
                           load_dataset, load_mask_stack, read_image_pgm,
                           read_mask_pgm, save_sample, select_largest_roi_slice,
                           standard_benchmark_config,
@@ -23,12 +23,10 @@ def small_config(**kwargs):
 
 
 def count_mask(counts, shape=(4, 4)):
-    masks = []
-    for c in counts:
-        arr = np.zeros(shape)
-        arr.flat[:c] = 1.0
-        masks.append(Mask(arr))
-    return MaskStack(tuple(masks))
+    stack = np.zeros((len(counts),) + shape, dtype=bool)
+    for k, c in enumerate(counts):
+        stack[k].flat[:c] = True
+    return stack
 
 
 def test_synth_config_validation():
@@ -97,7 +95,7 @@ def test_select_largest_roi_slice():
     with pytest.raises(AllSlicesEmptyError):
         select_largest_roi_slice(count_mask([0, 0]))
     with pytest.raises(EmptyStackError):
-        MaskStack(())
+        select_largest_roi_slice(count_mask([]))
 
 
 def test_pgm_roundtrip(tmp_path):
@@ -176,7 +174,9 @@ def test_save_load_roundtrip(tmp_path):
 
 
 def test_load_empty_dir(tmp_path):
-    assert load_dataset(tmp_path) == []
+    (tmp_path / "notes.txt").write_text("no pairs here")
+    with pytest.raises(MissingPairError, match=str(tmp_path)):
+        load_dataset(tmp_path)
 
 
 def test_load_missing_pair(tmp_path):
@@ -211,7 +211,7 @@ def test_load_mask_stack(tmp_path):
         arr.flat[:c] = 255
         write_pgm(tmp_path / f"vol.slice{k}.mask.pgm", arr)
     stack = load_mask_stack(tmp_path)
-    assert len(stack.masks) == 3
+    assert stack.dtype == bool and stack.shape == (3, 4, 4)
     assert select_largest_roi_slice(stack) == 1
 
 

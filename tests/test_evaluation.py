@@ -24,9 +24,9 @@ def brute_force_iou(a, b):
 
 
 def test_binarize_examples():
-    assert np.all(binarize(np.full((2, 2), 0.7), 0.5).values == 1.0)
-    assert np.all(binarize(np.full((2, 2), 0.5), 0.5).values == 1.0)  # inclusive
-    out = binarize(np.array([[0.4, 0.6]]), 0.5)
+    assert np.all(binarize(np.full((2, 2), 0.7)).values == 1.0)
+    assert np.all(binarize(np.full((2, 2), 0.5)).values == 1.0)  # inclusive
+    out = binarize(np.array([[0.4, 0.6]]))
     assert np.array_equal(out.values, [[0.0, 1.0]])
 
 

@@ -12,7 +12,6 @@ mask_arrays = arrays(np.float64, (5, 7), elements=st.sampled_from([0.0, 1.0]))
 
 
 def test_grid_shape_validation():
-    assert GridShape(3, 4).n_pixels == 12
     with pytest.raises(ValueError):
         GridShape(0, 4)
     with pytest.raises(ValueError):

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from statseg.errors import InvalidConfigError, MalformedFileError, ShapeMismatchError
 from statseg.grid import GridShape, Image, Mask
 from statseg.losses import LossWeights, total_loss
-from statseg.model import (ModelConfig, ModelParams, _conv2d, _conv2d_backward,
-                           _sigmoid, _upconv, _upconv_backward, _upsample2, backward,
-                           forward, init_params, load_checkpoint, param_shapes,
-                           save_checkpoint)
+from statseg.model import (ModelConfig, ModelParams, _backward_batch, _conv2d,
+                           _conv2d_backward, _forward_batch, _sigmoid, _upconv,
+                           _upconv_backward, _upsample2, forward, init_params,
+                           load_checkpoint, param_shapes, save_checkpoint)
 from statseg.morphology import weak_mask
 
 CFG = ModelConfig(GridShape(8, 8), base_channels=4, seed=3)
@@ -127,8 +127,8 @@ def test_forward_shape_mismatch():
 def test_backward_zero_seed_gives_zero_grads():
     params = init_params(CFG)
     image, _, _ = fixture_inputs()
-    trace = forward(params, image)
-    grads = backward(trace, np.zeros((8, 8)), np.zeros((8, 8)))
+    _, _, cache = _forward_batch(params, image.values[None, None])
+    grads = _backward_batch(params, cache, np.zeros((1, 1, 8, 8)), np.zeros((1, 1, 8, 8)))
     assert not grads.flatten().any()
 
 
@@ -138,11 +138,12 @@ def test_relu_dead_unit_blocks_gradient():
     params = init_params(CFG)
     params.tensors["enc1.b"][0] = -100.0
     image, _, _ = fixture_inputs()
-    trace = forward(params, image)
-    assert not trace.cache["a1"][0, 0].any()
-    grads = backward(trace, np.ones((8, 8)), np.ones((8, 8)))
-    assert not grads.tensors["enc1.w"][0].any()
-    assert grads.tensors["enc1.w"][1:].any()
+    _, _, cache = _forward_batch(params, image.values[None, None])
+    assert not cache["a1"][0, 0].any()
+    grads = _backward_batch(params, cache, np.ones((1, 1, 8, 8)), np.ones((1, 1, 8, 8)))
+    enc1_w = ModelParams.from_flat(CFG, grads).tensors["enc1.w"]
+    assert not enc1_w[0].any()
+    assert enc1_w[1:].any()
 
 
 def conv_backward_reference(dy, x, w, stride, pad):
@@ -322,14 +323,16 @@ def test_sigmoid_bits_match_the_two_branch_formula():
 def _param_gradcheck(weights, seed):
     image, gt, weak = fixture_inputs(seed)
     flat = init_params(CFG).flatten()
+    x = image.values[None, None]
 
     def loss_of(vec):
-        trace = forward(ModelParams.from_flat(CFG, vec), image)
-        return total_loss(image, gt, weak, trace.pred, trace.recon, weights)[0].total
+        pred, recon, _ = _forward_batch(ModelParams.from_flat(CFG, vec), x)
+        return total_loss(image, gt, weak, pred[0, 0], recon[0, 0], weights)[0].total
 
-    trace = forward(ModelParams.from_flat(CFG, flat), image)
-    _, d_pred, d_recon = total_loss(image, gt, weak, trace.pred, trace.recon, weights)
-    analytic = backward(trace, d_pred, d_recon).flatten()
+    params = ModelParams.from_flat(CFG, flat)
+    pred, recon, cache = _forward_batch(params, x)
+    _, d_pred, d_recon = total_loss(image, gt, weak, pred[0, 0], recon[0, 0], weights)
+    analytic = _backward_batch(params, cache, d_pred[None, None], d_recon[None, None])
     numeric = central_diff_vec(loss_of, flat, 1e-4)
     assert max_rel_err(analytic, numeric) < 1e-3
 

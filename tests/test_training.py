@@ -36,12 +36,12 @@ def tiny_config(**kwargs):
 
 def scalar_adam_fixture():
     cfg = ModelConfig(GridShape(4, 4), base_channels=1, seed=0)
-    return cfg, init_params(cfg), OptimizerState(learning_rate=0.01)
+    return init_params(cfg), OptimizerState(learning_rate=0.01)
 
 
 def test_optimizer_zero_gradient_is_noop():
-    cfg, params, state = scalar_adam_fixture()
-    zero = ModelParams.from_flat(cfg, np.zeros(params.n_params))
+    params, state = scalar_adam_fixture()
+    zero = np.zeros(params.n_params)
     new_params, new_state = optimizer_step(params, zero, state)
     assert np.array_equal(new_params.flatten(), params.flatten())
     assert not new_state.m.any() and not new_state.v.any()
@@ -49,8 +49,8 @@ def test_optimizer_zero_gradient_is_noop():
 
 
 def test_optimizer_unit_gradient_first_step():
-    cfg, params, state = scalar_adam_fixture()
-    ones = ModelParams.from_flat(cfg, np.ones(params.n_params))
+    params, state = scalar_adam_fixture()
+    ones = np.ones(params.n_params)
     new_params, _ = optimizer_step(params, ones, state)
     delta = new_params.flatten() - params.flatten()
     # step 1 bias correction: m_hat = v_hat = 1, update = -lr / (1 + eps)
@@ -58,22 +58,19 @@ def test_optimizer_unit_gradient_first_step():
 
 
 def test_optimizer_deterministic():
-    cfg, params, state = scalar_adam_fixture()
-    g = ModelParams.from_flat(cfg, np.linspace(-1, 1, params.n_params))
+    params, state = scalar_adam_fixture()
+    g = np.linspace(-1, 1, params.n_params)
     p1, s1 = optimizer_step(params, g, state)
-    cfg2, params2, state2 = scalar_adam_fixture()
+    params2, state2 = scalar_adam_fixture()
     p2, s2 = optimizer_step(params2, g, state2)
     assert np.array_equal(p1.flatten(), p2.flatten())
     assert np.array_equal(s1.m, s2.m) and np.array_equal(s1.v, s2.v)
 
 
 def test_optimizer_rejects_nonfinite():
-    cfg, params, state = scalar_adam_fixture()
-    bad = np.zeros(params.n_params)
-    bad[0] = np.nan
-    g = ModelParams.__new__(ModelParams)  # bypass finite check to exercise the guard
-    g.config = cfg
-    g.flat = bad
+    params, state = scalar_adam_fixture()
+    g = np.zeros(params.n_params)
+    g[0] = np.nan
     with pytest.raises(NonFiniteGradientError):
         optimizer_step(params, g, state)
 
@@ -217,7 +214,7 @@ def test_train_scores_final_params_once(monkeypatch, epochs):
     if epochs:
         assert record.epoch_ious[-1] == report.mean_iou
     for (_, _, _, overlay), p in zip(record.overlays, fresh):
-        assert np.array_equal(overlay.values, binarize(p, report.threshold).values)
+        assert np.array_equal(overlay.values, binarize(p).values)
 
 
 class RecordingPool:
