@@ -2,8 +2,8 @@
 
 All experiment configuration lives in a JSON file (plus --seed/--out
 overrides), so the config file is the complete record of a run.
-Exit codes: 0 success, 1 usage/config error (also a config too large to
-allocate), 2 data error, 3 numeric failure.
+Exit codes: 0 success, else the `exit_code` of the error's type (see errors.py),
+2 for an OS error, 1 for any other value error or a config too large to allocate.
 """
 from __future__ import annotations
 
@@ -15,11 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from .errors import (AllSlicesEmptyError, ConfigFileError, EmptyMaskError,
-                     EmptyStackError, InfeasibleROIError, InvalidConfigError,
-                     MalformedFileError, MissingPairError,
-                     NonFiniteGradientError, NonFiniteLossError,
-                     ShapeMismatchError)
+from .errors import InvalidConfigError, StatsegError
 from .evaluation import SUMMARY_CSV_HEADER, emit_report, iou, summary_csv_row
 from .grid import GridShape, foreground_count
 from .model import ModelConfig, ModelParams, save_checkpoint
@@ -27,26 +23,20 @@ from .morphology import weak_mask
 from .pgm import write_pgm
 from .training import AblationConfig, default_grid, run_ablation_grid
 
-_USAGE_ERRORS = (ConfigFileError, InvalidConfigError, ValueError)
-_DATA_ERRORS = (EmptyMaskError, ShapeMismatchError, MissingPairError,
-                MalformedFileError, InfeasibleROIError, EmptyStackError,
-                AllSlicesEmptyError, FileNotFoundError, OSError)
-_NUMERIC_ERRORS = (NonFiniteGradientError, NonFiniteLossError)
-
 
 def _take(d: dict, allowed: dict, context: str) -> dict:
     """Reject non-objects and unknown keys; apply per-key converters from `allowed`."""
     if not isinstance(d, dict):
-        raise ConfigFileError(f"{context}: expected a JSON object, got {type(d).__name__}")
+        raise InvalidConfigError(f"{context}: expected a JSON object, got {type(d).__name__}")
     unknown = set(d) - set(allowed)
     if unknown:
-        raise ConfigFileError(f"{context}: unknown keys {sorted(unknown)}")
+        raise InvalidConfigError(f"{context}: unknown keys {sorted(unknown)}")
     out = {}
     for k, v in d.items():
         try:
             out[k] = allowed[k](v)
         except (TypeError, ValueError, LookupError, OverflowError) as exc:
-            raise ConfigFileError(f"{context}: bad value for {k!r}: {exc}") from exc
+            raise InvalidConfigError(f"{context}: bad value for {k!r}: {exc}") from exc
     return out
 
 
@@ -66,11 +56,11 @@ def _list_of(convert):
 def _load_json(path) -> dict:
     path = Path(path)
     if not path.is_file():
-        raise ConfigFileError(f"config file not found: {path}")
+        raise InvalidConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
-        raise ConfigFileError(f"{path}: invalid JSON ({exc})") from exc
+        raise InvalidConfigError(f"{path}: invalid JSON ({exc})") from exc
     return doc
 
 
@@ -80,7 +70,7 @@ def _section(d, context: str, keys: dict, required=(), seed=None) -> dict:
     fields = _take(d, keys, context)
     missing = [k for k in required if k not in fields]
     if missing:
-        raise ConfigFileError(f"{context}: missing keys {missing}")
+        raise InvalidConfigError(f"{context}: missing keys {missing}")
     if seed is not None:
         fields["seed"] = seed
     if "height" in fields:
@@ -112,7 +102,7 @@ def _out_dir(doc: dict, args) -> Path:
     if args.out is not None:
         return Path(args.out)
     if "out_dir" not in doc:
-        raise ConfigFileError("out_dir missing from config (or pass --out)")
+        raise InvalidConfigError("out_dir missing from config (or pass --out)")
     return doc["out_dir"]
 
 
@@ -161,7 +151,7 @@ def _run(doc: dict, args, grid: list, jobs: int) -> tuple:
     if jobs < 1:
         raise InvalidConfigError(f"jobs must be >= 1, got {jobs}")
     if ("synth" in doc) == ("dataset_dir" in doc):
-        raise ConfigFileError("exactly one of 'synth' or 'dataset_dir' is required")
+        raise InvalidConfigError("exactly one of 'synth' or 'dataset_dir' is required")
     synth = _parse_synth(doc["synth"], args.seed) if "synth" in doc else None
     model_config = _parse_model(doc["model"], args.seed)
     out = _out_dir(doc, args)
@@ -170,7 +160,7 @@ def _run(doc: dict, args, grid: list, jobs: int) -> tuple:
     elif doc["dataset_dir"].is_dir():
         dataset, source = data_mod.load_dataset(doc["dataset_dir"]), str(doc["dataset_dir"])
     else:
-        raise ConfigFileError(f"dataset_dir does not exist: {doc['dataset_dir']}")
+        raise InvalidConfigError(f"dataset_dir does not exist: {doc['dataset_dir']}")
 
     records = run_ablation_grid(dataset, model_config, grid, jobs=jobs)
     emit_report(records, out)
@@ -207,11 +197,11 @@ def cmd_ablate(args) -> int:
         ignored = sorted(set(doc) & {"grid_seeds", "coverages", "epochs",
                                      "batch_size", "learning_rate"})
         if ignored:
-            raise ConfigFileError(f"ablate config: {ignored} apply only to the "
-                                  "default grid, not to an explicit 'grid'")
+            raise InvalidConfigError(f"ablate config: {ignored} apply only to the "
+                                     "default grid, not to an explicit 'grid'")
         grid = [_parse_ablation(entry, args.seed) for entry in grid_spec]
     else:
-        raise ConfigFileError("grid must be \"default\" or a list of ablation configs")
+        raise InvalidConfigError("grid must be \"default\" or a list of ablation configs")
 
     records, source, n_samples = _run(doc, args, grid, args.jobs)
     print(f"dataset: {source} ({n_samples} samples)")
@@ -276,15 +266,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.fn(args)
-    except _NUMERIC_ERRORS as exc:
+    except (StatsegError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return getattr(exc, "exit_code", 2 if isinstance(exc, OSError) else 1)
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1

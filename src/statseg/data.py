@@ -44,10 +44,12 @@ class SynthConfig:
             raise InvalidConfigError("n_samples must be positive")
         if not 0.0 <= self.contrast <= 1.0:
             raise InvalidConfigError("contrast must be in [0, 1]")
-        if self.noise_std < 0.0:
-            raise InvalidConfigError("noise_std must be non-negative")
+        if not 0.0 <= self.noise_std < float("inf"):
+            raise InvalidConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if not 0.0 < self.background_level < 1.0:
             raise InvalidConfigError("background_level must be in (0, 1)")
+        if self.seed < 0:
+            raise InvalidConfigError(f"synth seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

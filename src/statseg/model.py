@@ -24,6 +24,7 @@ from .grid import GridShape, Image, SoftMask
 
 _CKPT_MAGIC = b"SSEGCKPT"
 _CKPT_VERSION = 1
+_MAX_SEED = 2**32 - 1  # save_checkpoint stores the seed as a uint32
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,9 @@ class ModelConfig:
             raise InvalidConfigError("input height and width must be divisible by 4")
         if self.base_channels < 1:
             raise InvalidConfigError("base_channels must be positive")
-        if self.seed < 0:
-            raise InvalidConfigError("seed must be non-negative")
+        if not 0 <= self.seed <= _MAX_SEED:
+            raise InvalidConfigError(
+                f"model seed must be in [0, {_MAX_SEED}], got {self.seed}")
 
 
 @functools.lru_cache(maxsize=None)

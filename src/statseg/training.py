@@ -87,6 +87,8 @@ class AblationConfig:
         if not 0.0 <= self.learning_rate < float("inf"):
             raise InvalidConfigError(
                 f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if self.seed < 0:
+            raise InvalidConfigError(f"ablation seed must be non-negative, got {self.seed}")
 
     @property
     def weights(self) -> LossWeights:

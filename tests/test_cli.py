@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from statseg import data
 from statseg.cli import main
+from statseg.errors import StatsegError
 from statseg.pgm import write_pgm
 
 
@@ -357,6 +358,10 @@ def test_ablate_seed_flag_overrides_grid_seeds(tmp_path):
         assert summary["seed"] == summary["config"]["seed"] == 9
 
 
+def no_dataset(*args):
+    pytest.fail("the dataset was built before every section was checked")
+
+
 @pytest.mark.parametrize("command,doc", [
     ("train", {"model": TINY_MODEL, "ablation": {"mode": "nope"}, "out_dir": "out"}),
     ("train", {"model": dict(TINY_MODEL, base_channels=0), "ablation": {"mode": "combined"},
@@ -364,18 +369,65 @@ def test_ablate_seed_flag_overrides_grid_seeds(tmp_path):
     ("ablate", {"model": TINY_MODEL, "grid": [{"mode": "nope"}], "out_dir": "out"}),
     ("ablate", {"model": dict(TINY_MODEL, base_channels=0), "out_dir": "out"}),
     ("ablate", {"model": TINY_MODEL}),
+    ("train", {"model": dict(TINY_MODEL, seed=2**32), "ablation": {"mode": "combined"},
+               "out_dir": "out"}),
+    ("ablate", {"model": dict(TINY_MODEL, seed=2**32), "out_dir": "out"}),
+    ("train --seed 4294967296", {"model": TINY_MODEL, "ablation": {"mode": "combined"},
+                                 "out_dir": "out"}),
+    ("ablate --seed 4294967296", {"model": TINY_MODEL, "out_dir": "out"}),
 ], ids=["train_mode", "train_base_channels", "ablate_mode", "ablate_base_channels",
-        "no_out_dir"])
+        "no_out_dir", "train_model_seed_2**32", "ablate_model_seed_2**32",
+        "train_seed_flag_2**32", "ablate_seed_flag_2**32"])
 def test_sections_checked_before_the_dataset(tmp_path, monkeypatch, capsys, command, doc):
-    def no_dataset(*args):
-        pytest.fail("the dataset was built before every section was checked")
-
     monkeypatch.setattr(data, "generate_synthetic", no_dataset)
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, dict(doc, synth=TINY_SYNTH))
-    assert main([command, "--config", cfg]) == 1
+    assert main([*command.split(), "--config", cfg]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("command,doc,key", [
+    ("synth", {"synth": dict(TINY_SYNTH, seed=-1)}, "seed"),
+    ("synth --seed -1", {"synth": TINY_SYNTH}, "seed"),
+    ("synth", {"synth": dict(TINY_SYNTH, noise_std=float("nan"))}, "noise_std"),
+    ("synth", {"synth": dict(TINY_SYNTH, noise_std=float("inf"))}, "noise_std"),
+    ("train", {"synth": dict(TINY_SYNTH, seed=-1), "model": TINY_MODEL,
+               "ablation": {"mode": "combined"}}, "seed"),
+    ("train", {"synth": TINY_SYNTH, "model": TINY_MODEL,
+               "ablation": {"mode": "combined", "seed": -1}}, "seed"),
+    ("ablate", {"synth": TINY_SYNTH, "model": TINY_MODEL,
+                "grid": [{"mode": "combined", "seed": -1}]}, "seed"),
+    ("ablate", {"synth": TINY_SYNTH, "model": TINY_MODEL, "grid_seeds": [0, -1]}, "seed"),
+], ids=["synth_seed", "synth_seed_flag", "noise_std_nan", "noise_std_inf", "train_synth_seed",
+        "train_ablation_seed", "ablate_grid_entry_seed", "ablate_grid_seeds"])
+def test_out_of_range_value_exits_1_naming_the_key(tmp_path, monkeypatch, capsys,
+                                                   command, doc, key):
+    monkeypatch.setattr(data, "generate_synthetic", no_dataset)
+    cfg = write_config(tmp_path, dict(doc, out_dir=str(tmp_path / "out")))
+    assert main([*command.split(), "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def _error_types(cls=StatsegError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_types(sub)
+
+
+@pytest.mark.parametrize("exc_type", [*_error_types(), OSError, ValueError],
+                         ids=lambda t: t.__name__)
+def test_every_error_type_exits_with_its_code(tmp_path, monkeypatch, capsys, exc_type):
+    def failing_reader(path):
+        raise exc_type("boom")
+
+    monkeypatch.setattr(data, "read_mask_pgm", failing_reader)
+    code = main(["score", str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm")])
+    expected = {OSError: 2, ValueError: 1}.get(exc_type) or exc_type.exit_code
+    assert code == expected and code in (1, 2, 3)
+    assert capsys.readouterr().err.splitlines() == ["error: boom"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

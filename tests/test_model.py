@@ -358,6 +358,15 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(loaded.flatten(), params.flatten())
 
 
+def test_model_seed_fits_the_checkpoint_header(tmp_path):
+    cfg = ModelConfig(GridShape(8, 8), base_channels=1, seed=2**32 - 1)
+    save_checkpoint(init_params(cfg), tmp_path / "model.ckpt")
+    assert load_checkpoint(tmp_path / "model.ckpt").config == cfg
+    for seed in (-1, 2**32):
+        with pytest.raises(InvalidConfigError, match="4294967295"):
+            ModelConfig(GridShape(8, 8), seed=seed)
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
