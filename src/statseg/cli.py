@@ -21,7 +21,7 @@ from .grid import GridShape, foreground_count
 from .model import ModelConfig, ModelParams, save_checkpoint
 from .morphology import weak_mask
 from .pgm import write_pgm
-from .training import AblationConfig, default_grid, run_ablation_grid
+from .training import AblationConfig, default_grid, run_ablation_grid, run_name
 
 
 def _take(d: dict, allowed: dict, context: str) -> dict:
@@ -43,6 +43,20 @@ def _take(d: dict, allowed: dict, context: str) -> dict:
 def _as_is(v):
     """Converter for a section that its own parser checks."""
     return v
+
+
+def _integer(v):
+    """Converter for a JSON integer: no float, bool or string."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"expected a JSON integer, got {type(v).__name__}")
+    return v
+
+
+def _number(v):
+    """Converter for a JSON number, as a float: no bool or string."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"expected a JSON number, got {type(v).__name__}")
+    return float(v)
 
 
 def _list_of(convert):
@@ -80,30 +94,39 @@ def _section(d, context: str, keys: dict, required=(), seed=None) -> dict:
 
 def _parse_synth(d, seed) -> data_mod.SynthConfig:
     return data_mod.SynthConfig(**_section(d, "synth", {
-        "height": int, "width": int, "n_samples": int,
-        "roi_fraction_range": lambda v: tuple(_list_of(float)(v)),
-        "contrast": float, "noise_std": float, "background_level": float, "seed": int,
+        "height": _integer, "width": _integer, "n_samples": _integer,
+        "roi_fraction_range": lambda v: tuple(_list_of(_number)(v)),
+        "contrast": _number, "noise_std": _number, "background_level": _number,
+        "seed": _integer,
     }, required=("height", "width", "n_samples"), seed=seed))
 
 
 def _parse_model(d, seed) -> ModelConfig:
-    fields = _section(d, "model", {"height": int, "width": int, "base_channels": int,
-                                   "seed": int}, required=("height", "width"), seed=seed)
+    fields = _section(d, "model", {"height": _integer, "width": _integer,
+                                   "base_channels": _integer, "seed": _integer},
+                      required=("height", "width"), seed=seed)
     return ModelConfig(input_size=fields.pop("shape"), **fields)
 
 
 def _parse_ablation(d, seed) -> AblationConfig:
     return AblationConfig(**_section(d, "ablation", {
-        "mode": str, "weak_coverage": float, "epochs": int, "batch_size": int,
-        "learning_rate": float, "seed": int}, required=("mode",), seed=seed))
+        "mode": str, "weak_coverage": _number, "epochs": _integer, "batch_size": _integer,
+        "learning_rate": _number, "seed": _integer}, required=("mode",), seed=seed))
 
 
 def _out_dir(doc: dict, args) -> Path:
+    """--out, else out_dir; not created here, but rejected if it or its nearest existing
+    ancestor is not a directory, so that no run trains only to fail at writing."""
     if args.out is not None:
-        return Path(args.out)
-    if "out_dir" not in doc:
+        out = Path(args.out)
+    elif "out_dir" in doc:
+        out = doc["out_dir"]
+    else:
         raise InvalidConfigError("out_dir missing from config (or pass --out)")
-    return doc["out_dir"]
+    existing = next((p for p in (out, *out.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise NotADirectoryError(f"output path {out}: {existing} is not a directory")
+    return out
 
 
 def cmd_synth(args) -> int:
@@ -145,8 +168,9 @@ def cmd_slice_select(args) -> int:
 def _run(doc: dict, args, grid: list, jobs: int) -> tuple:
     """Train each config of grid on the config's dataset; write the report and checkpoints.
 
-    Every section is checked before the dataset is built or loaded. Returns
-    the records, a description of the data source and its sample count.
+    Every section, the grid's run names and the output path are checked
+    before the dataset is built or loaded. Returns the records, a
+    description of the data source and its sample count.
     """
     if jobs < 1:
         raise InvalidConfigError(f"jobs must be >= 1, got {jobs}")
@@ -154,6 +178,14 @@ def _run(doc: dict, args, grid: list, jobs: int) -> tuple:
         raise InvalidConfigError("exactly one of 'synth' or 'dataset_dir' is required")
     synth = _parse_synth(doc["synth"], args.seed) if "synth" in doc else None
     model_config = _parse_model(doc["model"], args.seed)
+    if not grid:
+        raise InvalidConfigError("the grid has no runs")
+    seen = set()
+    for name in map(run_name, grid):
+        if name in seen:
+            raise InvalidConfigError(f"the grid holds run {name} twice; "
+                                     "the second would overwrite the first's outputs")
+        seen.add(name)
     out = _out_dir(doc, args)
     if synth is not None:
         dataset, source = data_mod.generate_synthetic(synth), f"synthetic(seed={synth.seed})"
@@ -184,8 +216,8 @@ def cmd_train(args) -> int:
 def cmd_ablate(args) -> int:
     doc = _section(_load_json(args.config), "ablate config", {
         "synth": _as_is, "dataset_dir": Path, "model": _as_is, "grid": _as_is,
-        "grid_seeds": _list_of(int), "epochs": int, "batch_size": int,
-        "learning_rate": float, "coverages": _list_of(float), "out_dir": Path},
+        "grid_seeds": _list_of(_integer), "epochs": _integer, "batch_size": _integer,
+        "learning_rate": _number, "coverages": _list_of(_number), "out_dir": Path},
         required=("model",))
     grid_spec = doc.get("grid", "default")
     if grid_spec == "default":

@@ -375,9 +375,11 @@ def no_dataset(*args):
     ("train --seed 4294967296", {"model": TINY_MODEL, "ablation": {"mode": "combined"},
                                  "out_dir": "out"}),
     ("ablate --seed 4294967296", {"model": TINY_MODEL, "out_dir": "out"}),
+    ("ablate", {"model": TINY_MODEL, "grid": [], "out_dir": "out"}),
+    ("ablate", {"model": TINY_MODEL, "grid_seeds": [], "out_dir": "out"}),
 ], ids=["train_mode", "train_base_channels", "ablate_mode", "ablate_base_channels",
         "no_out_dir", "train_model_seed_2**32", "ablate_model_seed_2**32",
-        "train_seed_flag_2**32", "ablate_seed_flag_2**32"])
+        "train_seed_flag_2**32", "ablate_seed_flag_2**32", "empty_grid", "empty_grid_seeds"])
 def test_sections_checked_before_the_dataset(tmp_path, monkeypatch, capsys, command, doc):
     monkeypatch.setattr(data, "generate_synthetic", no_dataset)
     monkeypatch.chdir(tmp_path)
@@ -399,8 +401,55 @@ def test_sections_checked_before_the_dataset(tmp_path, monkeypatch, capsys, comm
     ("ablate", {"synth": TINY_SYNTH, "model": TINY_MODEL,
                 "grid": [{"mode": "combined", "seed": -1}]}, "seed"),
     ("ablate", {"synth": TINY_SYNTH, "model": TINY_MODEL, "grid_seeds": [0, -1]}, "seed"),
+    # two runs of one name would write one run directory
+    ("ablate", {"synth": TINY_SYNTH, "model": TINY_MODEL, "grid": [
+        {"mode": "combined", "seed": 3}, {"mode": "combined", "seed": 3, "learning_rate": 0.01}]},
+     "combined_cov0.08_seed3"),
+    ("ablate", {"synth": TINY_SYNTH, "model": TINY_MODEL, "coverages": [0.08, 0.08]},
+     "combined_cov0.08_seed0"),
+    ("ablate", {"synth": TINY_SYNTH, "model": TINY_MODEL, "grid_seeds": [3, 3]},
+     "stats_only_cov0.08_seed3"),
+    ("ablate --seed 5", {"synth": TINY_SYNTH, "model": TINY_MODEL, "grid": [
+        {"mode": "weak_only", "seed": 1}, {"mode": "weak_only", "seed": 2}]},
+     "weak_only_cov0.08_seed5"),
+    # integer keys take JSON integers and float keys JSON numbers, never bools or strings
+    ("synth", {"synth": dict(TINY_SYNTH, height=8.0)}, "height"),
+    ("synth", {"synth": dict(TINY_SYNTH, width="8")}, "width"),
+    ("synth", {"synth": dict(TINY_SYNTH, n_samples=True)}, "n_samples"),
+    ("synth", {"synth": dict(TINY_SYNTH, seed="3")}, "seed"),
+    ("synth", {"synth": dict(TINY_SYNTH, contrast="0.5")}, "contrast"),
+    ("synth", {"synth": dict(TINY_SYNTH, noise_std=False)}, "noise_std"),
+    ("synth", {"synth": dict(TINY_SYNTH, background_level="0.2")}, "background_level"),
+    ("synth", {"synth": dict(TINY_SYNTH, roi_fraction_range=[0.05, "0.2"])},
+     "roi_fraction_range"),
+    ("train", {"synth": TINY_SYNTH, "model": dict(TINY_MODEL, base_channels=True),
+               "ablation": {"mode": "combined"}}, "base_channels"),
+    ("train", {"synth": TINY_SYNTH, "model": dict(TINY_MODEL, seed="3"),
+               "ablation": {"mode": "combined"}}, "seed"),
+    ("train", {"synth": TINY_SYNTH, "model": TINY_MODEL,
+               "ablation": {"mode": "combined", "epochs": 2.7}}, "epochs"),
+    ("train", {"synth": TINY_SYNTH, "model": TINY_MODEL,
+               "ablation": {"mode": "combined", "batch_size": 4.9}}, "batch_size"),
+    ("train", {"synth": TINY_SYNTH, "model": TINY_MODEL,
+               "ablation": {"mode": "combined", "learning_rate": "0.01"}}, "learning_rate"),
+    ("train", {"synth": TINY_SYNTH, "model": TINY_MODEL,
+               "ablation": {"mode": "combined", "weak_coverage": True}}, "weak_coverage"),
+    ("ablate", {"synth": TINY_SYNTH, "model": TINY_MODEL, "epochs": 2.7}, "epochs"),
+    ("ablate", {"synth": TINY_SYNTH, "model": TINY_MODEL, "batch_size": "8"}, "batch_size"),
+    ("ablate", {"synth": TINY_SYNTH, "model": TINY_MODEL, "learning_rate": True},
+     "learning_rate"),
+    ("ablate", {"synth": TINY_SYNTH, "model": TINY_MODEL, "grid_seeds": ["3"]}, "grid_seeds"),
+    ("ablate", {"synth": TINY_SYNTH, "model": TINY_MODEL, "coverages": [True]}, "coverages"),
 ], ids=["synth_seed", "synth_seed_flag", "noise_std_nan", "noise_std_inf", "train_synth_seed",
-        "train_ablation_seed", "ablate_grid_entry_seed", "ablate_grid_seeds"])
+        "train_ablation_seed", "ablate_grid_entry_seed", "ablate_grid_seeds",
+        "repeated_grid_entry", "repeated_coverage", "repeated_grid_seed",
+        "grid_entries_differing_in_seed_under_seed_flag",
+        "float_height", "string_width", "bool_n_samples", "string_synth_seed",
+        "string_contrast", "bool_noise_std", "string_background_level",
+        "string_roi_fraction", "bool_base_channels", "string_model_seed", "float_epochs",
+        "float_batch_size", "string_learning_rate", "bool_weak_coverage",
+        "ablate_float_epochs", "ablate_string_batch_size", "ablate_bool_learning_rate",
+        "string_grid_seed", "bool_coverage"])
 def test_out_of_range_value_exits_1_naming_the_key(tmp_path, monkeypatch, capsys,
                                                    command, doc, key):
     monkeypatch.setattr(data, "generate_synthetic", no_dataset)
@@ -409,6 +458,22 @@ def test_out_of_range_value_exits_1_naming_the_key(tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_out_path_under_a_file_exits_2_before_the_dataset(tmp_path, monkeypatch, capsys,
+                                                          command, out):
+    monkeypatch.setattr(data, "generate_synthetic", no_dataset)
+    (tmp_path / "file").write_text("kept")
+    doc = {"synth": TINY_SYNTH, "model": TINY_MODEL}
+    if command == "train":
+        doc["ablation"] = {"mode": "combined"}
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "not a directory" in err[0]
+    assert (tmp_path / "file").read_text() == "kept"
 
 
 def _error_types(cls=StatsegError):

@@ -194,12 +194,14 @@ def test_conv2d_backward_matches_nested_loops(layer, bsz, layout):
     dy = rng.normal(size=(bsz, cout, (h + 2 * pad - k) // stride + 1,
                           (wd + 2 * pad - k) // stride + 1))
     expected = conv_backward_reference(dy, x, w, stride, pad)
+    c_order = _conv2d_backward(dy, x, w, stride=stride, pad=pad)
     if layout == "channel_major":
         x, dy = channel_major(x), channel_major(dy)
     got = _conv2d_backward(dy, x, w, stride=stride, pad=pad)
-    for name, a, b in zip(("dx", "dw", "db"), got, expected):
+    for name, a, b, c in zip(("dx", "dw", "db"), got, expected, c_order):
         assert a.shape == b.shape, name
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12), name
+        assert np.array_equal(a, c), name
 
 
 def conv_reference(x, w, b, stride, pad):
@@ -241,6 +243,7 @@ def test_conv2d_matches_nested_loops(layer, bsz):
     got = _conv2d(x, w, b, stride=stride, pad=pad)
     assert got.shape == expected.shape
     assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(_conv2d(channel_major(x), w, b, stride=stride, pad=pad), got)
 
 
 def upconv_case(layer, bsz, seed):
@@ -260,6 +263,7 @@ def test_upconv_matches_upsample_then_conv(layer, bsz):
                      conv_reference(upsample_reference(x), w, b, 1, 1)):
         assert got.shape == expected.shape
         assert np.allclose(got, expected, rtol=1e-13, atol=1e-13)
+    assert np.array_equal(_upconv(channel_major(x), w, b), got)
 
 
 @pytest.mark.parametrize("layout", ["c_order", "channel_major"])
@@ -272,12 +276,22 @@ def test_upconv_backward_matches_nested_loops(layer, bsz, layout):
     du, dw, db = conv_backward_reference(dy, upsample_reference(x), w, 1, 1)
     # each low-res pixel feeds the 2x2 block it was copied to
     dx = du.reshape(bsz, -1, h, 2, wd, 2).sum(axis=(3, 5))
+    c_order = _upconv_backward(dy, x, w)
     if layout == "channel_major":
         x, dy = channel_major(x), channel_major(dy)
     got = _upconv_backward(dy, x, w)
-    for name, a, b in zip(("dx", "dw", "db"), got, (dx, dw, db)):
+    for name, a, b, c in zip(("dx", "dw", "db"), got, (dx, dw, db), c_order):
         assert a.shape == b.shape, name
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12), name
+        assert np.array_equal(a, c), name
+
+
+def test_activations_are_views_of_channel_major_memory():
+    params = init_params(ModelConfig(GridShape(8, 12), base_channels=2, seed=5))
+    x = np.random.default_rng(43).uniform(size=(3, 1, 8, 12))
+    _, _, cache = _forward_batch(params, x)
+    for name in ("a1", "a2", "a3", "a4", "a5"):
+        assert cache[name].transpose(1, 0, 2, 3).flags.c_contiguous, name
 
 
 @pytest.mark.parametrize("layer", ["dec1", "dec2"])
