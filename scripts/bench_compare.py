@@ -11,7 +11,12 @@ and the side that runs first alternates. Then each runs once with
 ``--trace 1 --seconds TRACE_SECONDS --seed SEED`` for the per-layer metrics.
 The output keeps perfbench's result lines as printed (the ``machine`` and
 ``detail`` lines parsed from JSON) plus, per workload, the median of each
-end-to-end metric and the change/parent ratio.
+end-to-end metric and the change/parent ratio. For each end-to-end metric
+that ``BENCHMARK.json`` declares, it also writes ``change_wins``, the number
+of pairs in which the change beat the parent in the declared ``better``
+direction (a tie counts for neither side), and ``parent_iqr``, the
+interquartile range of the parent's runs (inclusive quartiles, as numpy's
+default percentile).
 """
 import argparse
 import json
@@ -49,6 +54,26 @@ def medians(runs) -> dict:
             for name in names}
 
 
+def values(runs, name) -> list:
+    return [r["result"]["metrics"][name]["value"] for r in runs]
+
+
+def change_wins(runs: dict, better: dict) -> dict:
+    """Pairs the change won per metric; better maps a name to "higher" or "lower"."""
+    sign = {"higher": 1.0, "lower": -1.0}
+    return {name: sum(sign[way] * (c - p) > 0 for p, c in
+                      zip(values(runs["parent"], name), values(runs["change"], name)))
+            for name, way in better.items()}
+
+
+def iqr(runs, names) -> dict:
+    out = {}
+    for name in names:
+        q1, _, q3 = statistics.quantiles(values(runs, name), n=4, method="inclusive")
+        out[name] = q3 - q1
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -57,6 +82,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    declared = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     doc = {"command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace {0,1}",
            "pairs": PAIRS, "seconds": SECONDS, "workloads": {}}
     for wl in WORKLOADS:
@@ -67,11 +93,14 @@ def main(argv=None) -> int:
         traced = {side: run(path, wl, SEED, TRACE_SECONDS, 1)
                   for side, path in checkouts.items()}
         med = {side: medians(r) for side, r in runs.items()}
+        better = {m["name"]: m["better"] for m in declared if m["name"] in med["parent"]}
         doc.setdefault("machine", runs["change"][0]["machine"])
         doc["workloads"][wl] = {
             "median": med,
             "change_over_parent": {name: med["change"][name] / med["parent"][name]
                                    for name in med["parent"]},
+            "change_wins": change_wins(runs, better),
+            "parent_iqr": iqr(runs["parent"], better),
             "runs": runs,
             "trace": traced,
         }

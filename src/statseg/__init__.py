@@ -23,8 +23,7 @@ from .data import (Sample, SynthConfig, generate_synthetic, load_dataset,
                    load_mask_stack, save_sample, select_largest_roi_slice,
                    standard_benchmark_config, zero_contrast_benchmark_config)
 from .training import (AblationConfig, OptimizerState, RunRecord,
-                       default_grid, optimizer_step, run_ablation_grid, train,
-                       weights_for_mode)
+                       default_grid, optimizer_step, run_ablation_grid, train)
 from .evaluation import (DegeneracyReport, EvalReport, binarize,
                          detect_degenerate, emit_report,
                          evaluate_predictions, iou)

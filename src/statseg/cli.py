@@ -191,6 +191,8 @@ def _run(doc: dict, args, grid: list, jobs: int) -> tuple:
         dataset, source = data_mod.generate_synthetic(synth), f"synthetic(seed={synth.seed})"
     elif doc["dataset_dir"].is_dir():
         dataset, source = data_mod.load_dataset(doc["dataset_dir"]), str(doc["dataset_dir"])
+    elif doc["dataset_dir"].exists():
+        raise NotADirectoryError(f"dataset_dir {doc['dataset_dir']} is not a directory")
     else:
         raise InvalidConfigError(f"dataset_dir does not exist: {doc['dataset_dir']}")
 

@@ -6,12 +6,14 @@ Fixed architecture (C = base_channels):
   decoder: up2 + conv3x3(4C->2C)+ReLU -> up2 + conv3x3(2C->C)+ReLU, each
            "up2 + conv3x3" run as one 2x2 phase conv of the low-res input
            (sub-pixel convolution), so the upsampled tensor is never built
-  heads:   conv1x1(C->1)+sigmoid (segmentation), conv1x1(C->1)+sigmoid (reconstruction)
+  heads:   conv1x1(C->1)+sigmoid (segmentation), conv1x1(C->1)+sigmoid (reconstruction),
+           each one dot product over the channels of a5's (C, B*H*W) view
 
 Forward/backward are hand-written numpy; gradients are exact (checked
 against finite differences in the test suite). ReLU'(0) := 0. Activations
 and gradients are (B, C, H, W) views of channel-major (C, B, H, W) memory,
-and `_pad` is the one place where a conv input is laid out.
+and `_pad` is the one place where a conv input is laid out; every conv
+pads by 1.
 """
 from __future__ import annotations
 
@@ -121,22 +123,20 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / d, e / d)
 
 
-def _pad(x, pad, s=1):
-    """(B, C, H, W) -> zero-padded channel-major (C, B, Hq*s, Wq*s), Hq = ceil((H+2pad)/s)."""
-    if pad == 0 and s == 1:
-        return x.transpose(1, 0, 2, 3)  # a view, not a copy
+def _pad(x, s=1):
+    """(B, C, H, W) -> channel-major (C, B, Hq*s, Wq*s), zero-padded by 1, Hq = ceil((H+2)/s)."""
     bsz, c, h, w = x.shape
-    out = np.zeros((c, bsz, -(-(h + 2 * pad) // s) * s, -(-(w + 2 * pad) // s) * s))
-    out[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
+    out = np.zeros((c, bsz, -(-(h + 2) // s) * s, -(-(w + 2) // s) * s))
+    out[:, :, 1:h + 1, 1:w + 1] = x.transpose(1, 0, 2, 3)
     return out
 
 
-def _conv2d(x, w, b, stride=1, pad=1):
+def _conv2d(x, w, b, stride=1):
     bsz, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
-    xp = _pad(x, pad)
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (wd + 2 * pad - kw) // stride + 1
+    xp = _pad(x)
+    ho = (h + 2 - kh) // stride + 1
+    wo = (wd + 2 - kw) // stride + 1
     # windows (Cin, kh, kw, B, ho, wo): a strided view of xp whose reshape is the im2col
     # copy for one GEMM; the backward's per-tap shifted GEMMs ran 1.5-3.5x slower as a forward
     sc, sb, sh, sw = xp.strides
@@ -147,7 +147,7 @@ def _conv2d(x, w, b, stride=1, pad=1):
     return np.add(y, b[:, None], out=y).reshape(cout, bsz, ho, wo).transpose(1, 0, 2, 3)
 
 
-def _conv2d_backward(dy, x, w, stride=1, pad=1, *, dx=True):
+def _conv2d_backward(dy, x, w, stride=1, *, dx=True):
     """Shifted-GEMM backward (Chellapilla, Puri & Simard 2006), no im2col copy.
 
     The padded input is split into stride**2 phases, each flattened
@@ -163,7 +163,7 @@ def _conv2d_backward(dy, x, w, stride=1, pad=1, *, dx=True):
     cout, _, kh, kw = w.shape
     s = stride
     ho, wo = dy.shape[2], dy.shape[3]
-    xp = _pad(x, pad, s)
+    xp = _pad(x, s)
     hq, wq = xp.shape[2] // s, xp.shape[3] // s
     # (s, s, Cin, B*Hq*Wq); already contiguous, so no copy, when s == 1
     phases = np.ascontiguousarray(
@@ -191,7 +191,7 @@ def _conv2d_backward(dy, x, w, stride=1, pad=1, *, dx=True):
         return None, dw, db
     dxp = dphases.reshape(s, s, cin, bsz, hq, wq).transpose(2, 3, 4, 0, 5, 1)
     dxp = dxp.reshape(cin, bsz, hq * s, wq * s)
-    return dxp[:, :, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3), dw, db
+    return dxp[:, :, 1:h + 1, 1:wd + 1].transpose(1, 0, 2, 3), dw, db
 
 
 def _upsample2(x):
@@ -259,8 +259,9 @@ def _forward_batch(params: ModelParams, x: np.ndarray):
     a3 = np.maximum(_conv2d(a2, t["enc3.w"], t["enc3.b"], stride=2), 0.0)
     a4 = np.maximum(_upconv(a3, t["dec1.w"], t["dec1.b"]), 0.0)
     a5 = np.maximum(_upconv(a4, t["dec2.w"], t["dec2.b"]), 0.0)
-    pred = _sigmoid(_conv2d(a5, t["seg.w"], t["seg.b"], stride=1, pad=0))
-    recon = _sigmoid(_conv2d(a5, t["rec.w"], t["rec.b"], stride=1, pad=0))
+    a5m = a5.transpose(1, 0, 2, 3).reshape(a5.shape[1], -1)  # (C, B*H*W), a view
+    pred = _sigmoid(np.dot(t["seg.w"].ravel(), a5m) + t["seg.b"]).reshape(x.shape)
+    recon = _sigmoid(np.dot(t["rec.w"].ravel(), a5m) + t["rec.b"]).reshape(x.shape)
     cache = {"x": x, "a1": a1, "a2": a2, "a3": a3, "a4": a4, "a5": a5,
              "pred": pred, "recon": recon}
     return pred, recon, cache
@@ -271,11 +272,14 @@ def _backward_batch(params: ModelParams, cache: dict,
     """Gradient of every parameter as one flat float64 vector, laid out like params.flat."""
     t = params.tensors
     g = {}
-    dz_seg = d_pred * cache["pred"] * (1.0 - cache["pred"])
-    dz_rec = d_recon * cache["recon"] * (1.0 - cache["recon"])
-    da5_s, g["seg.w"], g["seg.b"] = _conv2d_backward(dz_seg, cache["a5"], t["seg.w"], pad=0)
-    da5_r, g["rec.w"], g["rec.b"] = _conv2d_backward(dz_rec, cache["a5"], t["rec.w"], pad=0)
-    dz5 = (da5_s + da5_r) * (cache["a5"] > 0.0)
+    a5c = cache["a5"].transpose(1, 0, 2, 3)  # (C, B, H, W), contiguous
+    a5m = a5c.reshape(len(a5c), -1)
+    dz_seg = (d_pred * cache["pred"] * (1.0 - cache["pred"])).ravel()
+    dz_rec = (d_recon * cache["recon"] * (1.0 - cache["recon"])).ravel()
+    g["seg.w"], g["seg.b"] = np.dot(a5m, dz_seg), dz_seg.sum()
+    g["rec.w"], g["rec.b"] = np.dot(a5m, dz_rec), dz_rec.sum()
+    da5 = t["seg.w"].reshape(-1, 1) * dz_seg + t["rec.w"].reshape(-1, 1) * dz_rec
+    dz5 = (da5 * (a5m > 0.0)).reshape(a5c.shape).transpose(1, 0, 2, 3)
     da4, g["dec2.w"], g["dec2.b"] = _upconv_backward(dz5, cache["a4"], t["dec2.w"])
     dz4 = da4 * (cache["a4"] > 0.0)
     da3, g["dec1.w"], g["dec1.b"] = _upconv_backward(dz4, cache["a3"], t["dec1.w"])

@@ -62,12 +62,6 @@ def optimizer_step(params: ModelParams, g: np.ndarray,
             replace(state, step_count=t, m=m, v=v))
 
 
-def weights_for_mode(mode: str) -> LossWeights:
-    if mode not in MODE_WEIGHTS:
-        raise InvalidConfigError(f"unknown mode {mode!r}")
-    return MODE_WEIGHTS[mode]
-
-
 @dataclass(frozen=True)
 class AblationConfig:
     mode: str
@@ -92,7 +86,7 @@ class AblationConfig:
 
     @property
     def weights(self) -> LossWeights:
-        return weights_for_mode(self.mode)
+        return MODE_WEIGHTS[self.mode]
 
     def as_dict(self) -> dict:
         return {"mode": self.mode, "weak_coverage": self.weak_coverage,

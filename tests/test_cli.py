@@ -231,6 +231,18 @@ def test_ablate_dataset_dir_must_exist(tmp_path):
     assert main(["ablate", "--config", cfg]) == 1
 
 
+def test_ablate_dataset_dir_that_is_a_file_exits_2(tmp_path, capsys):
+    not_dir = tmp_path / "data.pgm"
+    not_dir.write_bytes(b"")
+    doc = {"dataset_dir": str(not_dir),
+           "model": {"height": 16, "width": 16}, "out_dir": str(tmp_path / "o")}
+    cfg = write_config(tmp_path, doc)
+    assert main(["ablate", "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(not_dir) in err[0] and "is not a directory" in err[0]
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command,section", [
     ("train", {"ablation": {"mode": "combined", "epochs": 1}}),
     ("ablate", {"epochs": 1}),

@@ -171,15 +171,17 @@ def channel_major(a):
 
 
 # every layer of the network on an 8x12 input with C = 2:
-# (cin, cout, kernel, stride, pad, input height, input width)
+# (cin, cout, kernel, stride, input height, input width); every conv pads by 1.
+# The model runs seg and rec as dot products on a5 (test_heads_match_nested_loops);
+# their 1x1 rows keep the conv kernels checked at kernel size 1.
 LAYER_GEOMETRIES = {
-    "enc1": (1, 2, 3, 1, 1, 8, 12),
-    "enc2": (2, 4, 3, 2, 1, 8, 12),
-    "enc3": (4, 8, 3, 2, 1, 4, 6),
-    "dec1": (8, 4, 3, 1, 1, 4, 6),
-    "dec2": (4, 2, 3, 1, 1, 8, 12),
-    "seg": (2, 1, 1, 1, 0, 8, 12),
-    "rec": (2, 1, 1, 1, 0, 8, 12),
+    "enc1": (1, 2, 3, 1, 8, 12),
+    "enc2": (2, 4, 3, 2, 8, 12),
+    "enc3": (4, 8, 3, 2, 4, 6),
+    "dec1": (8, 4, 3, 1, 4, 6),
+    "dec2": (4, 2, 3, 1, 8, 12),
+    "seg": (2, 1, 1, 1, 8, 12),
+    "rec": (2, 1, 1, 1, 8, 12),
 }
 
 
@@ -187,17 +189,16 @@ LAYER_GEOMETRIES = {
 @pytest.mark.parametrize("bsz", [1, 3])
 @pytest.mark.parametrize("layer", LAYER_GEOMETRIES)
 def test_conv2d_backward_matches_nested_loops(layer, bsz, layout):
-    cin, cout, k, stride, pad, h, wd = LAYER_GEOMETRIES[layer]
+    cin, cout, k, stride, h, wd = LAYER_GEOMETRIES[layer]
     rng = np.random.default_rng(11)
     x = rng.normal(size=(bsz, cin, h, wd))
     w = rng.normal(size=(cout, cin, k, k))
-    dy = rng.normal(size=(bsz, cout, (h + 2 * pad - k) // stride + 1,
-                          (wd + 2 * pad - k) // stride + 1))
-    expected = conv_backward_reference(dy, x, w, stride, pad)
-    c_order = _conv2d_backward(dy, x, w, stride=stride, pad=pad)
+    dy = rng.normal(size=(bsz, cout, (h + 2 - k) // stride + 1, (wd + 2 - k) // stride + 1))
+    expected = conv_backward_reference(dy, x, w, stride, 1)
+    c_order = _conv2d_backward(dy, x, w, stride=stride)
     if layout == "channel_major":
         x, dy = channel_major(x), channel_major(dy)
-    got = _conv2d_backward(dy, x, w, stride=stride, pad=pad)
+    got = _conv2d_backward(dy, x, w, stride=stride)
     for name, a, b, c in zip(("dx", "dw", "db"), got, expected, c_order):
         assert a.shape == b.shape, name
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12), name
@@ -234,21 +235,21 @@ def upsample_reference(x):
 @pytest.mark.parametrize("bsz", [1, 3])
 @pytest.mark.parametrize("layer", LAYER_GEOMETRIES)
 def test_conv2d_matches_nested_loops(layer, bsz):
-    cin, cout, k, stride, pad, h, wd = LAYER_GEOMETRIES[layer]
+    cin, cout, k, stride, h, wd = LAYER_GEOMETRIES[layer]
     rng = np.random.default_rng(13)
     x = rng.normal(size=(bsz, cin, h, wd))
     w = rng.normal(size=(cout, cin, k, k))
     b = rng.normal(size=cout)
-    expected = conv_reference(x, w, b, stride, pad)
-    got = _conv2d(x, w, b, stride=stride, pad=pad)
+    expected = conv_reference(x, w, b, stride, 1)
+    got = _conv2d(x, w, b, stride=stride)
     assert got.shape == expected.shape
     assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
-    assert np.array_equal(_conv2d(channel_major(x), w, b, stride=stride, pad=pad), got)
+    assert np.array_equal(_conv2d(channel_major(x), w, b, stride=stride), got)
 
 
 def upconv_case(layer, bsz, seed):
     """Low-res input, 3x3 weights and bias of a decoder layer on an 8x12 image."""
-    cin, cout, _, _, _, h, wd = LAYER_GEOMETRIES[layer]
+    cin, cout, _, _, h, wd = LAYER_GEOMETRIES[layer]
     rng = np.random.default_rng(seed)
     return (rng.normal(size=(bsz, cin, h // 2, wd // 2)),
             rng.normal(size=(cout, cin, 3, 3)), rng.normal(size=cout))
@@ -294,6 +295,24 @@ def test_activations_are_views_of_channel_major_memory():
         assert cache[name].transpose(1, 0, 2, 3).flags.c_contiguous, name
 
 
+def test_heads_match_nested_loops():
+    params = init_params(ModelConfig(GridShape(8, 12), base_channels=2, seed=5))
+    rng = np.random.default_rng(47)
+    pred, recon, cache = _forward_batch(params, rng.uniform(size=(3, 1, 8, 12)))
+    d_pred, d_recon = rng.normal(size=pred.shape), rng.normal(size=recon.shape)
+    grads = ModelParams.from_flat(params.config,
+                                  _backward_batch(params, cache, d_pred, d_recon)).tensors
+    for head, out, d_out in (("seg", pred, d_pred), ("rec", recon, d_recon)):
+        w, b = params.tensors[f"{head}.w"], params.tensors[f"{head}.b"]
+        z = conv_reference(cache["a5"], w, b, 1, 0)
+        assert out.shape == z.shape, head
+        assert np.allclose(out, 1.0 / (1.0 + np.exp(-z)), rtol=1e-13, atol=1e-13), head
+        dz = d_out * out * (1.0 - out)
+        _, dw, db = conv_backward_reference(dz, cache["a5"], w, 1, 0)
+        assert np.allclose(grads[f"{head}.w"], dw, rtol=1e-12, atol=1e-12), head
+        assert np.allclose(grads[f"{head}.b"], db, rtol=1e-12, atol=1e-12), head
+
+
 @pytest.mark.parametrize("layer", ["dec1", "dec2"])
 def test_upconv_backward_is_adjoint(layer):
     x, w, _ = upconv_case(layer, 3, seed=29)
@@ -308,14 +327,13 @@ def test_upconv_backward_is_adjoint(layer):
 
 @pytest.mark.parametrize("layer", ["enc1", "enc2"])
 def test_conv2d_backward_without_dx(layer):
-    cin, cout, k, stride, pad, h, wd = LAYER_GEOMETRIES[layer]
+    cin, cout, k, stride, h, wd = LAYER_GEOMETRIES[layer]
     rng = np.random.default_rng(37)
     x = rng.normal(size=(2, cin, h, wd))
     w = rng.normal(size=(cout, cin, k, k))
-    dy = rng.normal(size=(2, cout, (h + 2 * pad - k) // stride + 1,
-                          (wd + 2 * pad - k) // stride + 1))
-    _, dw, db = _conv2d_backward(dy, x, w, stride=stride, pad=pad)
-    none, dw_only, db_only = _conv2d_backward(dy, x, w, stride=stride, pad=pad, dx=False)
+    dy = rng.normal(size=(2, cout, (h + 2 - k) // stride + 1, (wd + 2 - k) // stride + 1))
+    _, dw, db = _conv2d_backward(dy, x, w, stride=stride)
+    none, dw_only, db_only = _conv2d_backward(dy, x, w, stride=stride, dx=False)
     assert none is None
     assert np.array_equal(dw_only, dw) and np.array_equal(db_only, db)
 

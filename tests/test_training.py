@@ -14,9 +14,8 @@ from statseg.grid import GridShape, Mask
 from statseg.losses import LossWeights
 from statseg.model import ModelConfig, ModelParams, init_params
 from statseg.morphology import weak_mask
-from statseg.training import (AblationConfig, OptimizerState, default_grid,
-                              optimizer_step, run_ablation_grid, train,
-                              weights_for_mode)
+from statseg.training import (MODE_WEIGHTS, MODES, AblationConfig, OptimizerState,
+                              default_grid, optimizer_step, run_ablation_grid, train)
 
 MODEL = ModelConfig(GridShape(16, 16), base_channels=2, seed=0)
 
@@ -76,17 +75,15 @@ def test_optimizer_rejects_nonfinite():
 
 
 def test_weights_for_mode():
-    assert weights_for_mode("stats_only") == LossWeights(1, 1, 1, 0, 0)
-    assert weights_for_mode("weak_only") == LossWeights(1, 1, 0, 1, 0)
-    assert weights_for_mode("combined") == LossWeights(1, 1, 1, 1, 0)
-    assert weights_for_mode("fully_supervised") == LossWeights(1, 1, 0, 0, 1)
-    with pytest.raises(InvalidConfigError):
-        weights_for_mode("nope")
+    assert AblationConfig(mode="stats_only").weights == LossWeights(1, 1, 1, 0, 0)
+    assert AblationConfig(mode="weak_only").weights == LossWeights(1, 1, 0, 1, 0)
+    assert AblationConfig(mode="combined").weights == LossWeights(1, 1, 1, 1, 0)
+    assert AblationConfig(mode="fully_supervised").weights == LossWeights(1, 1, 0, 0, 1)
 
 
 def test_ablation_config_mode_weight_invariants():
-    for mode in ("stats_only", "weak_only", "combined", "fully_supervised"):
-        assert AblationConfig(mode=mode).weights == weights_for_mode(mode)
+    for mode in MODES:
+        assert AblationConfig(mode=mode).weights == MODE_WEIGHTS[mode]
     with pytest.raises(InvalidConfigError):
         AblationConfig(mode="unknown")
 
@@ -101,7 +98,7 @@ def test_batch_losses_names_the_nonfinite_sample(monkeypatch):
     recon_b = rng.uniform(0.1, 0.9, (3, 1, 16, 16))
     monkeypatch.setattr(training, "_forward_batch", lambda params, x: (pred_b, recon_b, None))
     params = init_params(MODEL)
-    weights = weights_for_mode("combined")
+    weights = AblationConfig(mode="combined").weights
     training._batch(params, dataset, masks, idx, weights)
     pred_b[1, 0, 3, 3] = np.nan
     with pytest.raises(NonFiniteLossError, match=r"on sample 2: .*total=nan"):
