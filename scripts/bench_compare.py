@@ -17,6 +17,13 @@ of pairs in which the change beat the parent in the declared ``better``
 direction (a tie counts for neither side), and ``parent_iqr``, the
 interquartile range of the parent's runs (inclusive quartiles, as numpy's
 default percentile).
+
+A run that exits non-zero, prints no result or reports ``"correct": false``
+is kept out of the medians, the win counts and the quartiles (a pair counts
+only when both of its runs are good). Each workload lists such runs under
+``broken`` per side, with seed, exit code and the last stderr lines, and
+``runs_failed`` / ``runs_attempted`` per side. The JSON is written anyway;
+the script then exits 1 if any run was broken.
 """
 import argparse
 import json
@@ -30,46 +37,68 @@ PAIRS = 10
 SECONDS = 20.0
 TRACE_SECONDS = 10.0
 SEED = 7
+STDERR_TAIL = 20        # stderr lines kept for each broken run
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    out = {}
-    for line in proc.stdout.splitlines():
-        if line.startswith(("machine ", "detail ")):
-            key, _, doc = line.partition(" ")
-            out[key] = json.loads(doc)
-    out["result"] = json.loads(proc.stdout.splitlines()[-1])
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    out = {"seed": seed, "trace": trace, "returncode": proc.returncode, "result": None}
+    lines = proc.stdout.splitlines()
+    try:
+        for line in lines:
+            if line.startswith(("machine ", "detail ")):
+                key, _, doc = line.partition(" ")
+                out[key] = json.loads(doc)
+        out["result"] = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        pass
     out["stderr"] = proc.stderr.splitlines()
+    out["ok"] = proc.returncode == 0 and (out["result"] or {}).get("correct") is True
     print(f"{checkout.name or checkout} {workload} seed {seed} trace {trace}: "
-          f"correct={out['result']['correct']}", file=sys.stderr, flush=True)
+          f"exit {proc.returncode}, ok={out['ok']}", file=sys.stderr, flush=True)
     return out
 
 
+def broken(runs) -> list:
+    return [{"seed": r["seed"], "trace": r["trace"], "returncode": r["returncode"],
+             "correct": (r["result"] or {}).get("correct"),
+             "stderr_tail": r["stderr"][-STDERR_TAIL:]} for r in runs if not r["ok"]]
+
+
 def medians(runs) -> dict:
-    names = runs[0]["result"]["metrics"]
-    return {name: statistics.median(r["result"]["metrics"][name]["value"] for r in runs)
-            for name in names}
+    good = [r for r in runs if r["ok"]]
+    if not good:
+        return {}
+    return {name: statistics.median(values(good, name))
+            for name in good[0]["result"]["metrics"]}
+
+
+def value(run_, name) -> float:
+    return run_["result"]["metrics"][name]["value"]
 
 
 def values(runs, name) -> list:
-    return [r["result"]["metrics"][name]["value"] for r in runs]
+    return [value(r, name) for r in runs]
 
 
 def change_wins(runs: dict, better: dict) -> dict:
     """Pairs the change won per metric; better maps a name to "higher" or "lower"."""
     sign = {"higher": 1.0, "lower": -1.0}
-    return {name: sum(sign[way] * (c - p) > 0 for p, c in
-                      zip(values(runs["parent"], name), values(runs["change"], name)))
+    pairs = [(p, c) for p, c in zip(runs["parent"], runs["change"]) if p["ok"] and c["ok"]]
+    return {name: sum(sign[way] * (value(c, name) - value(p, name)) > 0 for p, c in pairs)
             for name, way in better.items()}
 
 
 def iqr(runs, names) -> dict:
+    good = [r for r in runs if r["ok"]]
     out = {}
     for name in names:
-        q1, _, q3 = statistics.quantiles(values(runs, name), n=4, method="inclusive")
+        if len(good) < 2:
+            out[name] = None
+            continue
+        q1, _, q3 = statistics.quantiles(values(good, name), n=4, method="inclusive")
         out[name] = q3 - q1
     return out
 
@@ -93,18 +122,30 @@ def main(argv=None) -> int:
         traced = {side: run(path, wl, SEED, TRACE_SECONDS, 1)
                   for side, path in checkouts.items()}
         med = {side: medians(r) for side, r in runs.items()}
-        better = {m["name"]: m["better"] for m in declared if m["name"] in med["parent"]}
-        doc.setdefault("machine", runs["change"][0]["machine"])
+        better = {m["name"]: m["better"] for m in declared
+                  if m["name"] in med["parent"] or m["name"] in med["change"]}
+        machines = [r["machine"] for r in runs["change"] + runs["parent"] if "machine" in r]
+        if machines:
+            doc.setdefault("machine", machines[0])
+        attempted = {side: r + [traced[side]] for side, r in runs.items()}
         doc["workloads"][wl] = {
             "median": med,
             "change_over_parent": {name: med["change"][name] / med["parent"][name]
-                                   for name in med["parent"]},
+                                   for name in med["parent"] if name in med["change"]},
             "change_wins": change_wins(runs, better),
             "parent_iqr": iqr(runs["parent"], better),
+            "runs_attempted": {side: len(r) for side, r in attempted.items()},
+            "runs_failed": {side: sum(not x["ok"] for x in r) for side, r in attempted.items()},
+            "broken": {side: broken(r) for side, r in attempted.items()},
             "runs": runs,
             "trace": traced,
         }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    n_broken = sum(sum(w["runs_failed"].values()) for w in doc["workloads"].values())
+    if n_broken:
+        print(f"{n_broken} perfbench runs were broken; see 'broken' in {args.out}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

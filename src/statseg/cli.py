@@ -3,12 +3,14 @@
 All experiment configuration lives in a JSON file (plus --seed/--out
 overrides), so the config file is the complete record of a run.
 Exit codes: 0 success, else the `exit_code` of the error's type (see errors.py),
-2 for an OS error, 1 for any other value error or a config too large to allocate.
+2 for an OS error, 1 for any other value error or a config too large to allocate
+(over MAX_CONFIG_BYTES, or out of memory).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -18,10 +20,21 @@ from . import data as data_mod
 from .errors import InvalidConfigError, StatsegError
 from .evaluation import SUMMARY_CSV_HEADER, emit_report, iou, summary_csv_row
 from .grid import GridShape, foreground_count
-from .model import ModelConfig, ModelParams, save_checkpoint
+from .model import ModelConfig, ModelParams, param_shapes, save_checkpoint
 from .morphology import weak_mask
 from .pgm import write_pgm
 from .training import AblationConfig, default_grid, run_ablation_grid, run_name
+
+
+# Largest dataset (16 bytes per pixel: float64 image and mask) or parameter vector
+# (8 bytes per parameter) that a config may ask for, checked before anything is allocated.
+MAX_CONFIG_BYTES = 4 * 2**30
+
+
+def _check_size(context: str, keys: str, nbytes: int):
+    if nbytes > MAX_CONFIG_BYTES:
+        raise InvalidConfigError(f"{context}: {keys} needs {nbytes / 2**30:.3g} GiB, over "
+                                 f"the {MAX_CONFIG_BYTES / 2**30:g} GiB ceiling")
 
 
 def _take(d: dict, allowed: dict, context: str) -> dict:
@@ -93,19 +106,26 @@ def _section(d, context: str, keys: dict, required=(), seed=None) -> dict:
 
 
 def _parse_synth(d, seed) -> data_mod.SynthConfig:
-    return data_mod.SynthConfig(**_section(d, "synth", {
+    cfg = data_mod.SynthConfig(**_section(d, "synth", {
         "height": _integer, "width": _integer, "n_samples": _integer,
         "roi_fraction_range": lambda v: tuple(_list_of(_number)(v)),
         "contrast": _number, "noise_std": _number, "background_level": _number,
         "seed": _integer,
     }, required=("height", "width", "n_samples"), seed=seed))
+    _check_size("synth", f"'height' x 'width' x 'n_samples' = {cfg.shape.height} x "
+                f"{cfg.shape.width} x {cfg.n_samples}",
+                16 * cfg.shape.height * cfg.shape.width * cfg.n_samples)
+    return cfg
 
 
 def _parse_model(d, seed) -> ModelConfig:
     fields = _section(d, "model", {"height": _integer, "width": _integer,
                                    "base_channels": _integer, "seed": _integer},
                       required=("height", "width"), seed=seed)
-    return ModelConfig(input_size=fields.pop("shape"), **fields)
+    cfg = ModelConfig(input_size=fields.pop("shape"), **fields)
+    _check_size("model", f"'base_channels' = {cfg.base_channels}",
+                8 * sum(math.prod(shape) for _, shape in param_shapes(cfg.base_channels)))
+    return cfg
 
 
 def _parse_ablation(d, seed) -> AblationConfig:

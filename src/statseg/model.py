@@ -138,11 +138,13 @@ def _conv2d(x, w, b, stride=1):
     ho = (h + 2 - kh) // stride + 1
     wo = (wd + 2 - kw) // stride + 1
     # windows (Cin, kh, kw, B, ho, wo): a strided view of xp whose reshape is the im2col
-    # copy for one GEMM; the backward's per-tap shifted GEMMs ran 1.5-3.5x slower as a forward
+    # copy for one GEMM; the backward's per-tap shifted GEMMs ran 1.5-3.5x slower as a forward.
+    # The ndarray constructor over xp's contiguous buffer costs a sixth of as_strided's set-up
+    # and, unlike it, raises ValueError if the window does not fit the buffer.
     sc, sb, sh, sw = xp.strides
-    win = np.lib.stride_tricks.as_strided(
-        xp, (cin, kh, kw, bsz, ho, wo), (sc, sh, sw, sb, stride * sh, stride * sw),
-        writeable=False)
+    win = np.ndarray((cin, kh, kw, bsz, ho, wo), xp.dtype, xp, 0,
+                     (sc, sh, sw, sb, stride * sh, stride * sw))
+    win.flags.writeable = False
     y = np.dot(w.reshape(cout, -1), win.reshape(cin * kh * kw, -1))
     return np.add(y, b[:, None], out=y).reshape(cout, bsz, ho, wo).transpose(1, 0, 2, 3)
 
@@ -205,13 +207,14 @@ def _upsample2(x):
 _ROW_FOLD = np.array([[[1, 0, 0], [0, 1, 1]],
                       [[1, 1, 0], [0, 0, 1]]], dtype=np.float64)
 _PHASE_FOLD = np.einsum("akd,ble->abklde", _ROW_FOLD, _ROW_FOLD).reshape(16, 9)
+_PHASE_FOLD_T = np.ascontiguousarray(_PHASE_FOLD.T)  # built once, not a .T view per call
 _PHASES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def _phase_kernels(w):
     """(Cout, Cin, 3, 3) -> (4*Cout, Cin, 2, 2), phase-major."""
     cout, cin = w.shape[:2]
-    w4 = (w.reshape(cout * cin, 9) @ _PHASE_FOLD.T).reshape(cout, cin, 4, 2, 2)
+    w4 = np.dot(w.reshape(cout * cin, 9), _PHASE_FOLD_T).reshape(cout, cin, 4, 2, 2)
     return w4.transpose(2, 0, 1, 3, 4).reshape(4 * cout, cin, 2, 2)
 
 
@@ -224,7 +227,7 @@ def _upconv(x, w, b):
     """
     bsz, _, h, wd = x.shape
     cout = w.shape[0]
-    y4 = _conv2d(x, _phase_kernels(w), np.tile(b, 4))
+    y4 = _conv2d(x, _phase_kernels(w), np.concatenate((b, b, b, b)))
     y = np.empty((cout, bsz, 2 * h, 2 * wd)).transpose(1, 0, 2, 3)
     for p, (a, c) in enumerate(_PHASES):
         y[:, :, a::2, c::2] = y4[:, p * cout:(p + 1) * cout, a:a + h, c:c + wd]

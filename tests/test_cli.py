@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from statseg import data
+from statseg import cli, data
 from statseg.cli import main
 from statseg.errors import StatsegError
 from statseg.pgm import write_pgm
@@ -57,11 +57,34 @@ def test_synth_infeasible_roi_exits_2(tmp_path, capsys):
     assert "fraction" in capsys.readouterr().err
 
 
-def test_synth_too_large_to_allocate_exits_1(tmp_path, capsys):
+def test_synth_too_large_to_allocate_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(data, "generate_synthetic", no_dataset)
     cfg = write_config(tmp_path, synth_doc(tmp_path / "ds", height=1000000, width=1000000))
     assert main(["synth", "--config", cfg]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: out of memory")
+    assert len(err) == 1 and err[0].startswith("error: synth:")
+    assert "'height'" in err[0] and "ceiling" in err[0]
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_model_too_large_to_allocate_exits_1(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setattr(data, "generate_synthetic", no_dataset)
+    doc = {"synth": TINY_SYNTH, "model": dict(TINY_MODEL, base_channels=100_000_000),
+           "ablation": {"mode": "combined"}, "out_dir": str(tmp_path / "out")}
+    if command == "ablate":
+        del doc["ablation"]
+    assert main([command, "--config", write_config(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: model:")
+    assert "'base_channels'" in err[0] and "ceiling" in err[0]
+
+
+def test_config_at_the_ceiling_is_accepted(monkeypatch):
+    # four 8x8 samples at 16 bytes a pixel fill the ceiling exactly; a fifth is over it
+    monkeypatch.setattr(cli, "MAX_CONFIG_BYTES", 16 * 8 * 8 * 4)
+    assert cli._parse_synth(dict(TINY_SYNTH, n_samples=4), None).n_samples == 4
+    with pytest.raises(StatsegError, match="n_samples"):
+        cli._parse_synth(dict(TINY_SYNTH, n_samples=5), None)
 
 
 def test_synth_unknown_key_rejected(tmp_path):
