@@ -20,14 +20,16 @@ from . import data as data_mod
 from .errors import InvalidConfigError, StatsegError
 from .evaluation import SUMMARY_CSV_HEADER, emit_report, iou, summary_csv_row
 from .grid import GridShape, foreground_count
-from .model import ModelConfig, ModelParams, param_shapes, save_checkpoint
+from .model import ModelConfig, ModelParams, forward_bytes, param_shapes, save_checkpoint
 from .morphology import weak_mask
 from .pgm import write_pgm
-from .training import AblationConfig, default_grid, run_ablation_grid, run_name
+from .training import (EVAL_BATCH_SIZE, AblationConfig, default_grid, run_ablation_grid,
+                       run_name)
 
 
-# Largest dataset (16 bytes per pixel: float64 image and mask) or parameter vector
-# (8 bytes per parameter) that a config may ask for, checked before anything is allocated.
+# Largest dataset (16 bytes per pixel: float64 image and mask), parameter vector
+# (8 bytes per parameter) or forward pass (model.forward_bytes) that a config may ask
+# for, checked before anything is allocated.
 MAX_CONFIG_BYTES = 4 * 2**30
 
 
@@ -188,9 +190,9 @@ def cmd_slice_select(args) -> int:
 def _run(doc: dict, args, grid: list, jobs: int) -> tuple:
     """Train each config of grid on the config's dataset; write the report and checkpoints.
 
-    Every section, the grid's run names and the output path are checked
-    before the dataset is built or loaded. Returns the records, a
-    description of the data source and its sample count.
+    Every section, the grid's run names, the forward pass's memory and the
+    output path are checked before the dataset is built or loaded. Returns
+    the records, a description of the data source and its sample count.
     """
     if jobs < 1:
         raise InvalidConfigError(f"jobs must be >= 1, got {jobs}")
@@ -206,6 +208,17 @@ def _run(doc: dict, args, grid: list, jobs: int) -> tuple:
             raise InvalidConfigError(f"the grid holds run {name} twice; "
                                      "the second would overwrite the first's outputs")
         seen.add(name)
+    # One forward pass in each of up to `jobs` workers. Training batches hold at most the
+    # grid's largest batch_size samples and eval batches EVAL_BATCH_SIZE, and neither
+    # more than the dataset, whose size a synth section gives before it is built.
+    batch = max(EVAL_BATCH_SIZE, *(cfg.batch_size for cfg in grid))
+    if synth is not None:
+        batch = min(batch, synth.n_samples)
+    workers = min(jobs, len(grid))
+    size = model_config.input_size
+    _check_size("run", f"'base_channels' x 'batch_size' x 'height' x 'width' x jobs = "
+                f"{model_config.base_channels} x {batch} x {size.height} x {size.width} "
+                f"x {workers}", workers * forward_bytes(model_config, batch))
     out = _out_dir(doc, args)
     if synth is not None:
         dataset, source = data_mod.generate_synthetic(synth), f"synthetic(seed={synth.seed})"

@@ -117,31 +117,54 @@ def init_params(config: ModelConfig) -> ModelParams:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, so exp never overflows
-    e = np.exp(-np.abs(z))
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    """1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, so exp never overflows.
+
+    Overwrites z with the result: one division, of a numerator that is 1 or e.
+    """
+    nonneg = z >= 0
+    e = np.exp(np.negative(np.abs(z, out=z), out=z), out=z)
+    d = e + 1.0
+    np.copyto(e, 1.0, where=nonneg)
+    return np.divide(e, d, out=e)
+
+
+@functools.lru_cache(maxsize=None)
+def _phase_copies(h, w, s):
+    """Index pairs (phase, grid) that move a (C, B, h, w) grid into, or out of, its
+    zero-padded split into stride-s phases, (s, s, C, B, Hq, Wq): phase (a, b) holds
+    padded pixel (s*i + a, s*j + b) at (i, j). One pair, one strided copy, per phase."""
+    def axis(n):
+        for a in range(s):  # the unpadded indices phase a holds, and where they sit in it
+            u0 = (a - 1) % s  # the first unpadded index u with (u + 1) % s == a
+            i0 = (u0 + 1) // s
+            yield a, slice(u0, n, s), slice(i0, i0 + len(range(u0, n, s)))
+    full = slice(None)
+    return tuple(((a, b, full, full, i, j), (full, full, rows, cols))
+                 for a, rows, i in axis(h) for b, cols, j in axis(w))
 
 
 def _pad(x, s=1):
-    """(B, C, H, W) -> channel-major (C, B, Hq*s, Wq*s), zero-padded by 1, Hq = ceil((H+2)/s)."""
+    """(B, C, H, W) -> channel-major (s, s, C, B, Hq, Wq), zero-padded by 1 and split
+    into stride-s phases, Hq = ceil((H+2)/s). At s == 1, [0, 0] is the padded input."""
     bsz, c, h, w = x.shape
-    out = np.zeros((c, bsz, -(-(h + 2) // s) * s, -(-(w + 2) // s) * s))
-    out[:, :, 1:h + 1, 1:w + 1] = x.transpose(1, 0, 2, 3)
+    out = np.zeros((s, s, c, bsz, -(-(h + 2) // s), -(-(w + 2) // s)))
+    xc = x.transpose(1, 0, 2, 3)
+    for phase, grid in _phase_copies(h, w, s):
+        out[phase] = xc[grid]
     return out
 
 
 def _conv2d(x, w, b, stride=1):
     bsz, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
-    xp = _pad(x)
+    xp = _pad(x)  # (1, 1, Cin, B, H+2, W+2)
     ho = (h + 2 - kh) // stride + 1
     wo = (wd + 2 - kw) // stride + 1
     # windows (Cin, kh, kw, B, ho, wo): a strided view of xp whose reshape is the im2col
     # copy for one GEMM; the backward's per-tap shifted GEMMs ran 1.5-3.5x slower as a forward.
     # The ndarray constructor over xp's contiguous buffer costs a sixth of as_strided's set-up
     # and, unlike it, raises ValueError if the window does not fit the buffer.
-    sc, sb, sh, sw = xp.strides
+    sc, sb, sh, sw = xp.strides[2:]
     win = np.ndarray((cin, kh, kw, bsz, ho, wo), xp.dtype, xp, 0,
                      (sc, sh, sw, sb, stride * sh, stride * sw))
     win.flags.writeable = False
@@ -166,34 +189,41 @@ def _conv2d_backward(dy, x, w, stride=1, *, dx=True):
     s = stride
     ho, wo = dy.shape[2], dy.shape[3]
     xp = _pad(x, s)
-    hq, wq = xp.shape[2] // s, xp.shape[3] // s
-    # (s, s, Cin, B*Hq*Wq); already contiguous, so no copy, when s == 1
-    phases = np.ascontiguousarray(
-        xp.reshape(cin, bsz, hq, s, wq, s).transpose(3, 5, 0, 1, 2, 4)
-    ).reshape(s, s, cin, bsz * hq * wq)
+    hq, wq = xp.shape[4:]
+    phases = xp.reshape(s, s, cin, bsz * hq * wq)
     g = np.zeros((cout, bsz, hq, wq))
     g[:, :, :ho, :wo] = dy.transpose(1, 0, 2, 3)
     n = bsz * hq * wq - ((kh - 1) // s) * wq - (kw - 1) // s
     g = g.reshape(cout, -1)[:, :n]
     dw = np.empty_like(w)
-    if dx:
-        # per-tap (Cin, Cout) blocks must be contiguous for matmul to use BLAS
-        wt = np.ascontiguousarray(w.transpose(2, 3, 1, 0))
-        dphases = np.zeros_like(phases)
-        tap = np.empty((cin, n))  # reused: a fresh buffer per tap costs page faults
-    for di in range(kh):
-        for dj in range(kw):
-            off = (di // s) * wq + dj // s
-            a, b = di % s, dj % s
-            dw[:, :, di, dj] = g @ phases[a, b, :, off:off + n].T
-            if dx:
-                dphases[a, b, :, off:off + n] += np.matmul(wt[di, dj], g, out=tap)
+    # The taps (a + s*r, b + s*c) of phase (a, b) read it at offset r*Wq + c: one
+    # (rows, cols, n, Cin) window, so one stacked matmul makes their dw blocks, each
+    # the same GEMM, bit for bit, as a per-tap g @ phases[a, b, :, off:off + n].T
+    sa, sb, sc, sp = phases.strides
+    for a in range(s):
+        for b in range(s):
+            win = np.ndarray((len(range(a, kh, s)), len(range(b, kw, s)), n, cin),
+                             phases.dtype, phases, a * sa + b * sb, (wq * sp, sp, sp, sc))
+            dw[:, :, a::s, b::s] = np.matmul(g, win).transpose(2, 3, 0, 1)
     db = g.sum(axis=1)
     if not dx:
         return None, dw, db
-    dxp = dphases.reshape(s, s, cin, bsz, hq, wq).transpose(2, 3, 4, 0, 5, 1)
-    dxp = dxp.reshape(cin, bsz, hq * s, wq * s)
-    return dxp[:, :, 1:h + 1, 1:wd + 1].transpose(1, 0, 2, 3), dw, db
+    # per-tap (Cin, Cout) blocks must be contiguous for matmul to use BLAS
+    wt = np.ascontiguousarray(w.transpose(2, 3, 1, 0))
+    dphases = np.zeros_like(phases)
+    tap = np.empty((cin, n))  # reused: a fresh buffer per tap costs page faults
+    for di in range(kh):
+        for dj in range(kw):
+            off = (di // s) * wq + dj // s
+            dphases[di % s, dj % s, :, off:off + n] += np.matmul(wt[di, dj], g, out=tap)
+    if s == 1:
+        dxc = dphases.reshape(cin, bsz, hq, wq)[:, :, 1:h + 1, 1:wd + 1]
+    else:  # one strided copy per phase, each along a whole row, into contiguous memory
+        dxc = np.empty((cin, bsz, h, wd))
+        dphases = dphases.reshape(s, s, cin, bsz, hq, wq)
+        for phase, grid in _phase_copies(h, wd, s):
+            dxc[grid] = dphases[phase]
+    return dxc.transpose(1, 0, 2, 3), dw, db
 
 
 def _upsample2(x):
@@ -208,7 +238,6 @@ _ROW_FOLD = np.array([[[1, 0, 0], [0, 1, 1]],
                       [[1, 1, 0], [0, 0, 1]]], dtype=np.float64)
 _PHASE_FOLD = np.einsum("akd,ble->abklde", _ROW_FOLD, _ROW_FOLD).reshape(16, 9)
 _PHASE_FOLD_T = np.ascontiguousarray(_PHASE_FOLD.T)  # built once, not a .T view per call
-_PHASES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def _phase_kernels(w):
@@ -218,32 +247,46 @@ def _phase_kernels(w):
     return w4.transpose(2, 0, 1, 3, 4).reshape(4 * cout, cin, 2, 2)
 
 
-def _upconv(x, w, b):
-    """_conv2d(_upsample2(x), w, b) as sub-pixel convolution (Shi et al. 2016).
+def _row_phases(grid, c):
+    """Phases (0, c) and (1, c) of a channel-major (4*Cout, B, h+1, w+1) phase grid, as
+    one (Cout, B, h, 2, w) view whose axis 3 is the row phase a: phase (a, c) holds
+    output pixel (2r + a, 2q + c) at (r + a, q + c), 2*a + c blocks of Cout channels in."""
+    cout, bsz, h, wd = grid.shape[0] // 4, grid.shape[1], grid.shape[2] - 1, grid.shape[3] - 1
+    sp, sb, sr, sq = grid.strides
+    return np.ndarray((cout, bsz, h, 2, wd), grid.dtype, grid, c * (cout * sp + sq),
+                      (sp, sb, sr, 2 * cout * sp + sr, sq))
+
+
+def _upconv(x, w4, b):
+    """_conv2d(_upsample2(x), w, b) as sub-pixel convolution (Shi et al. 2016),
+    given w4 = _phase_kernels(w).
 
     One 2x2 conv of the low-res x makes all four output phases as a
     (B, 4*Cout, h+1, w+1) grid; output pixel (2r + a, 2c + b) is phase
-    (a, b) at (r + a, c + b). The upsampled input is never built.
+    (a, b) at (r + a, c + b). The upsampled input is never built, and the
+    phases are interleaved in two strided copies, one per column phase.
     """
     bsz, _, h, wd = x.shape
-    cout = w.shape[0]
-    y4 = _conv2d(x, _phase_kernels(w), np.concatenate((b, b, b, b)))
-    y = np.empty((cout, bsz, 2 * h, 2 * wd)).transpose(1, 0, 2, 3)
-    for p, (a, c) in enumerate(_PHASES):
-        y[:, :, a::2, c::2] = y4[:, p * cout:(p + 1) * cout, a:a + h, c:c + wd]
-    return y
+    cout = w4.shape[0] // 4
+    y4 = _conv2d(x, w4, np.concatenate((b, b, b, b))).transpose(1, 0, 2, 3)  # contiguous
+    y = np.empty((cout, bsz, h, 2, wd, 2))
+    for c in range(2):
+        y[..., c] = _row_phases(y4, c)
+    return y.reshape(cout, bsz, 2 * h, 2 * wd).transpose(1, 0, 2, 3)
 
 
-def _upconv_backward(dy, x, w):
-    """dx, dw, db of _upconv: the forward's phase scatter and weight fold, reversed."""
+def _upconv_backward(dy, x, w4):
+    """dx, dw, db of _upconv(x, w4, b), with dw of the 3x3 kernel w that w4 folds."""
     bsz, cin, h, wd = x.shape
-    cout = w.shape[0]
-    g4 = np.zeros((4 * cout, bsz, h + 1, wd + 1)).transpose(1, 0, 2, 3)
-    for p, (a, c) in enumerate(_PHASES):
-        g4[:, p * cout:(p + 1) * cout, a:a + h, c:c + wd] = dy[:, :, a::2, c::2]
-    dx, dw4, db4 = _conv2d_backward(g4, x, _phase_kernels(w))
+    cout = w4.shape[0] // 4
+    g4 = np.zeros((4 * cout, bsz, h + 1, wd + 1))
+    dy6 = dy.transpose(1, 0, 2, 3).reshape(cout, bsz, h, 2, wd, 2)
+    for c in range(2):
+        _row_phases(g4, c)[...] = dy6[..., c]
+    dx, dw4, db4 = _conv2d_backward(g4.transpose(1, 0, 2, 3), x, w4)
     dw4 = dw4.reshape(4, cout, cin, 4).transpose(1, 2, 0, 3).reshape(cout * cin, 16)
-    return dx, (dw4 @ _PHASE_FOLD).reshape(w.shape), db4.reshape(4, cout).sum(axis=0)
+    return (dx, (dw4 @ _PHASE_FOLD).reshape(cout, cin, 3, 3),
+            db4.reshape(4, cout).sum(axis=0))
 
 
 @dataclass
@@ -256,18 +299,45 @@ class ForwardTrace:
 
 def _forward_batch(params: ModelParams, x: np.ndarray):
     """x: (B, 1, H, W) -> (pred, recon, cache), each output (B, 1, H, W)."""
+    # each conv's and head's output is a fresh array, so its ReLU or sigmoid overwrites it
     t = params.tensors
-    a1 = np.maximum(_conv2d(x, t["enc1.w"], t["enc1.b"]), 0.0)
-    a2 = np.maximum(_conv2d(a1, t["enc2.w"], t["enc2.b"], stride=2), 0.0)
-    a3 = np.maximum(_conv2d(a2, t["enc3.w"], t["enc3.b"], stride=2), 0.0)
-    a4 = np.maximum(_upconv(a3, t["dec1.w"], t["dec1.b"]), 0.0)
-    a5 = np.maximum(_upconv(a4, t["dec2.w"], t["dec2.b"]), 0.0)
+    w4_dec1, w4_dec2 = _phase_kernels(t["dec1.w"]), _phase_kernels(t["dec2.w"])
+    a1 = _conv2d(x, t["enc1.w"], t["enc1.b"])
+    np.maximum(a1, 0.0, out=a1)
+    a2 = _conv2d(a1, t["enc2.w"], t["enc2.b"], stride=2)
+    np.maximum(a2, 0.0, out=a2)
+    a3 = _conv2d(a2, t["enc3.w"], t["enc3.b"], stride=2)
+    np.maximum(a3, 0.0, out=a3)
+    a4 = _upconv(a3, w4_dec1, t["dec1.b"])
+    np.maximum(a4, 0.0, out=a4)
+    a5 = _upconv(a4, w4_dec2, t["dec2.b"])
+    np.maximum(a5, 0.0, out=a5)
     a5m = a5.transpose(1, 0, 2, 3).reshape(a5.shape[1], -1)  # (C, B*H*W), a view
-    pred = _sigmoid(np.dot(t["seg.w"].ravel(), a5m) + t["seg.b"]).reshape(x.shape)
-    recon = _sigmoid(np.dot(t["rec.w"].ravel(), a5m) + t["rec.b"]).reshape(x.shape)
+    z_seg = np.dot(t["seg.w"].ravel(), a5m)
+    z_seg += t["seg.b"]
+    z_rec = np.dot(t["rec.w"].ravel(), a5m)
+    z_rec += t["rec.b"]
+    pred = _sigmoid(z_seg).reshape(x.shape)
+    recon = _sigmoid(z_rec).reshape(x.shape)
+    # the decoders' phase kernels too, so that the backward does not fold them again
     cache = {"x": x, "a1": a1, "a2": a2, "a3": a3, "a4": a4, "a5": a5,
-             "pred": pred, "recon": recon}
+             "pred": pred, "recon": recon, "dec1.w4": w4_dec1, "dec2.w4": w4_dec2}
     return pred, recon, cache
+
+
+def forward_bytes(config: ModelConfig, batch_size: int) -> int:
+    """Bytes that one _forward_batch of batch_size images holds at its peak, estimated.
+
+    Per image of P = H*W pixels, in float64: the cache keeps a1-a5, with
+    C, 2C, 4C, 2C and C channels at P, P/4, P/16, P/4 and P pixels, plus pred
+    and recon, so (3.25*C + 2)*P values. On top of that sits the largest im2col
+    copy: enc1's 9*P, enc2's 9*C*P/4, or dec2's 8*C*(H/2 + 1)*(W/2 + 1) (2C
+    channels x 4 taps of its 2x2 phase conv). The other layers' copies are smaller.
+    """
+    c, h, w = config.base_channels, config.input_size.height, config.input_size.width
+    px = h * w
+    im2col = max(9 * px, 9 * c * px // 4, 8 * c * (h // 2 + 1) * (w // 2 + 1))
+    return 8 * batch_size * (13 * c * px // 4 + 2 * px + im2col)
 
 
 def _backward_batch(params: ModelParams, cache: dict,
@@ -277,21 +347,27 @@ def _backward_batch(params: ModelParams, cache: dict,
     g = {}
     a5c = cache["a5"].transpose(1, 0, 2, 3)  # (C, B, H, W), contiguous
     a5m = a5c.reshape(len(a5c), -1)
-    dz_seg = (d_pred * cache["pred"] * (1.0 - cache["pred"])).ravel()
-    dz_rec = (d_recon * cache["recon"] * (1.0 - cache["recon"])).ravel()
+    # every gradient below is a fresh array, so each ReLU mask is applied to it in place
+    dz_seg = d_pred * cache["pred"]
+    dz_seg *= 1.0 - cache["pred"]
+    dz_rec = d_recon * cache["recon"]
+    dz_rec *= 1.0 - cache["recon"]
+    dz_seg, dz_rec = dz_seg.ravel(), dz_rec.ravel()
     g["seg.w"], g["seg.b"] = np.dot(a5m, dz_seg), dz_seg.sum()
     g["rec.w"], g["rec.b"] = np.dot(a5m, dz_rec), dz_rec.sum()
-    da5 = t["seg.w"].reshape(-1, 1) * dz_seg + t["rec.w"].reshape(-1, 1) * dz_rec
-    dz5 = (da5 * (a5m > 0.0)).reshape(a5c.shape).transpose(1, 0, 2, 3)
-    da4, g["dec2.w"], g["dec2.b"] = _upconv_backward(dz5, cache["a4"], t["dec2.w"])
-    dz4 = da4 * (cache["a4"] > 0.0)
-    da3, g["dec1.w"], g["dec1.b"] = _upconv_backward(dz4, cache["a3"], t["dec1.w"])
-    dz3 = da3 * (cache["a3"] > 0.0)
-    da2, g["enc3.w"], g["enc3.b"] = _conv2d_backward(dz3, cache["a2"], t["enc3.w"], stride=2)
-    dz2 = da2 * (cache["a2"] > 0.0)
-    da1, g["enc2.w"], g["enc2.b"] = _conv2d_backward(dz2, cache["a1"], t["enc2.w"], stride=2)
-    dz1 = da1 * (cache["a1"] > 0.0)
-    _, g["enc1.w"], g["enc1.b"] = _conv2d_backward(dz1, cache["x"], t["enc1.w"], dx=False)
+    da5 = t["seg.w"].reshape(-1, 1) * dz_seg
+    da5 += t["rec.w"].reshape(-1, 1) * dz_rec
+    np.multiply(da5, a5m > 0.0, out=da5)
+    da4, g["dec2.w"], g["dec2.b"] = _upconv_backward(
+        da5.reshape(a5c.shape).transpose(1, 0, 2, 3), cache["a4"], cache["dec2.w4"])
+    np.multiply(da4, cache["a4"] > 0.0, out=da4)
+    da3, g["dec1.w"], g["dec1.b"] = _upconv_backward(da4, cache["a3"], cache["dec1.w4"])
+    np.multiply(da3, cache["a3"] > 0.0, out=da3)
+    da2, g["enc3.w"], g["enc3.b"] = _conv2d_backward(da3, cache["a2"], t["enc3.w"], stride=2)
+    np.multiply(da2, cache["a2"] > 0.0, out=da2)
+    da1, g["enc2.w"], g["enc2.b"] = _conv2d_backward(da2, cache["a1"], t["enc2.w"], stride=2)
+    np.multiply(da1, cache["a1"] > 0.0, out=da1)
+    _, g["enc1.w"], g["enc1.b"] = _conv2d_backward(da1, cache["x"], t["enc1.w"], dx=False)
     return np.concatenate([g[name].ravel()
                            for name, _ in param_shapes(params.config.base_channels)])
 

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from statseg import cli, data
 from statseg.cli import main
 from statseg.errors import StatsegError
+from statseg.grid import GridShape
+from statseg.model import ModelConfig, forward_bytes
 from statseg.pgm import write_pgm
+from statseg.training import EVAL_BATCH_SIZE
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -85,6 +88,60 @@ def test_config_at_the_ceiling_is_accepted(monkeypatch):
     assert cli._parse_synth(dict(TINY_SYNTH, n_samples=4), None).n_samples == 4
     with pytest.raises(StatsegError, match="n_samples"):
         cli._parse_synth(dict(TINY_SYNTH, n_samples=5), None)
+
+
+def forward_pass_doc(tmp_path, command, batch_size, n_samples):
+    doc = {"synth": dict(TINY_SYNTH, n_samples=n_samples), "model": TINY_MODEL,
+           "ablation": {"mode": "combined", "batch_size": batch_size},
+           "out_dir": str(tmp_path / "out")}
+    if command == "ablate":
+        doc["batch_size"] = doc.pop("ablation")["batch_size"]
+    return write_config(tmp_path, doc)
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_forward_pass_too_large_to_allocate_exits_1(tmp_path, monkeypatch, capsys, command):
+    # a million 8x8 samples fit under the ceiling, one forward pass over all of them does not
+    monkeypatch.setattr(data, "generate_synthetic", no_dataset)
+    cfg = forward_pass_doc(tmp_path, command, 10**9, 10**6)
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: run:") and "ceiling" in err[0]
+    for key in ("'base_channels'", "'batch_size'", "'height'", "'width'"):
+        assert key in err[0]
+
+
+class DatasetReached(Exception):
+    pass
+
+
+def dataset_reached(*args):
+    raise DatasetReached
+
+
+@pytest.mark.parametrize("command,jobs,batch_size,largest", [
+    ("train", 1, 20, 20),
+    ("train", 1, 1, EVAL_BATCH_SIZE),
+    ("train", 1, 10**9, 50),     # no batch holds more than the dataset's 50 samples
+    ("ablate", 3, 20, 20),       # three workers, one forward pass each
+])
+def test_forward_pass_at_the_ceiling_is_accepted(tmp_path, monkeypatch, capsys,
+                                                 command, jobs, batch_size, largest):
+    # the estimate is taken at the larger of the training and the eval batch, capped by
+    # the dataset size, once per worker; at the ceiling the run goes on to build its
+    # dataset, one byte under it exits 1
+    ceiling = jobs * forward_bytes(ModelConfig(GridShape(8, 8)), largest)
+    monkeypatch.setattr(data, "generate_synthetic", dataset_reached)
+    argv = [command, "--config", forward_pass_doc(tmp_path, command, batch_size, 50)]
+    if command == "ablate":
+        argv += ["--jobs", str(jobs)]
+    monkeypatch.setattr(cli, "MAX_CONFIG_BYTES", ceiling)
+    with pytest.raises(DatasetReached):
+        main(argv)
+    monkeypatch.setattr(cli, "MAX_CONFIG_BYTES", ceiling - 1)
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"= 8 x {largest} x 8 x 8 x {jobs} needs" in err[0]
 
 
 def test_synth_unknown_key_rejected(tmp_path):

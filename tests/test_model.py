@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from statseg.errors import InvalidConfigError, MalformedFileError, ShapeMismatchError
 from statseg.grid import GridShape, Image, Mask
+from statseg import model
 from statseg.losses import LossWeights, total_loss
 from statseg.model import (ModelConfig, ModelParams, _backward_batch, _conv2d,
-                           _conv2d_backward, _forward_batch, _sigmoid, _upconv,
-                           _upconv_backward, _upsample2, forward, init_params,
-                           load_checkpoint, param_shapes, save_checkpoint)
+                           _conv2d_backward, _forward_batch, _phase_kernels, _sigmoid,
+                           _upconv, _upconv_backward, _upsample2, forward, forward_bytes,
+                           init_params, load_checkpoint, param_shapes, save_checkpoint)
 from statseg.morphology import weak_mask
 
 CFG = ModelConfig(GridShape(8, 8), base_channels=4, seed=3)
@@ -165,6 +166,30 @@ def conv_backward_reference(dy, x, w, stride, pad):
     return dxp[:, :, pad:pad + h, pad:pad + wd], dw, dy.sum(axis=(0, 2, 3))
 
 
+def per_tap_weight_gradient(dy, x, w, stride):
+    """dw of _conv2d_backward as one g @ window.T GEMM per kernel tap: the loop that
+    its stacked matmul replaced, on the same phase-split input and dy grid."""
+    bsz, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    s = stride
+    xp = np.zeros((cin, bsz, -(-(h + 2) // s) * s, -(-(wd + 2) // s) * s))
+    xp[:, :, 1:h + 1, 1:wd + 1] = x.transpose(1, 0, 2, 3)
+    hq, wq = xp.shape[2] // s, xp.shape[3] // s
+    phases = np.ascontiguousarray(
+        xp.reshape(cin, bsz, hq, s, wq, s).transpose(3, 5, 0, 1, 2, 4)
+    ).reshape(s, s, cin, bsz * hq * wq)
+    g = np.zeros((cout, bsz, hq, wq))
+    g[:, :, :dy.shape[2], :dy.shape[3]] = dy.transpose(1, 0, 2, 3)
+    n = bsz * hq * wq - ((kh - 1) // s) * wq - (kw - 1) // s
+    g = g.reshape(cout, -1)[:, :n]
+    dw = np.empty_like(w)
+    for di in range(kh):
+        for dj in range(kw):
+            off = (di // s) * wq + dj // s
+            dw[:, :, di, dj] = g @ phases[di % s, dj % s, :, off:off + n].T
+    return dw
+
+
 def channel_major(a):
     """The same (B, C, H, W) values, stored as a transposed (C, B, H, W) array."""
     return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
@@ -210,6 +235,7 @@ def test_conv2d_backward_matches_nested_loops(layer, bsz, layout):
         assert a.shape == b.shape, name
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12), name
         assert np.array_equal(a, c), name
+    assert np.array_equal(got[1], per_tap_weight_gradient(dy, x, w, stride))
 
 
 def conv_reference(x, w, b, stride, pad):
@@ -262,16 +288,28 @@ def upconv_case(layer, bsz, seed):
             rng.normal(size=(cout, cin, 3, 3)), rng.normal(size=cout))
 
 
+def four_assignment_upconv(x, w, b):
+    """_upconv with its phases interleaved one slice assignment each, as it was."""
+    bsz, _, h, wd = x.shape
+    cout = w.shape[0]
+    y4 = _conv2d(x, _phase_kernels(w), np.concatenate((b, b, b, b)))
+    y = np.empty((cout, bsz, 2 * h, 2 * wd)).transpose(1, 0, 2, 3)
+    for p, (a, c) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        y[:, :, a::2, c::2] = y4[:, p * cout:(p + 1) * cout, a:a + h, c:c + wd]
+    return y
+
+
 @pytest.mark.parametrize("bsz", [1, 3])
 @pytest.mark.parametrize("layer", ["dec1", "dec2"])
 def test_upconv_matches_upsample_then_conv(layer, bsz):
     x, w, b = upconv_case(layer, bsz, seed=17)
-    got = _upconv(x, w, b)
+    got = _upconv(x, _phase_kernels(w), b)
     for expected in (_conv2d(_upsample2(x), w, b),
                      conv_reference(upsample_reference(x), w, b, 1, 1)):
         assert got.shape == expected.shape
         assert np.allclose(got, expected, rtol=1e-13, atol=1e-13)
-    assert np.array_equal(_upconv(channel_major(x), w, b), got)
+    assert np.array_equal(_upconv(channel_major(x), _phase_kernels(w), b), got)
+    assert np.array_equal(four_assignment_upconv(x, w, b), got)
 
 
 @pytest.mark.parametrize("layout", ["c_order", "channel_major"])
@@ -284,10 +322,10 @@ def test_upconv_backward_matches_nested_loops(layer, bsz, layout):
     du, dw, db = conv_backward_reference(dy, upsample_reference(x), w, 1, 1)
     # each low-res pixel feeds the 2x2 block it was copied to
     dx = du.reshape(bsz, -1, h, 2, wd, 2).sum(axis=(3, 5))
-    c_order = _upconv_backward(dy, x, w)
+    c_order = _upconv_backward(dy, x, _phase_kernels(w))
     if layout == "channel_major":
         x, dy = channel_major(x), channel_major(dy)
-    got = _upconv_backward(dy, x, w)
+    got = _upconv_backward(dy, x, _phase_kernels(w))
     for name, a, b, c in zip(("dx", "dw", "db"), got, (dx, dw, db), c_order):
         assert a.shape == b.shape, name
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12), name
@@ -323,9 +361,9 @@ def test_heads_match_nested_loops():
 @pytest.mark.parametrize("layer", ["dec1", "dec2"])
 def test_upconv_backward_is_adjoint(layer):
     x, w, _ = upconv_case(layer, 3, seed=29)
-    y = _upconv(x, w, np.zeros(w.shape[0]))
+    y = _upconv(x, _phase_kernels(w), np.zeros(w.shape[0]))
     dy = np.random.default_rng(31).normal(size=y.shape)
-    dx, dw, db = _upconv_backward(dy, x, w)
+    dx, dw, db = _upconv_backward(dy, x, _phase_kernels(w))
     # y is linear in x for fixed w and in w for fixed x, and db sums dy
     assert np.isclose(np.vdot(y, dy), np.vdot(x, dx), rtol=1e-13)
     assert np.isclose(np.vdot(y, dy), np.vdot(w, dw), rtol=1e-13)
@@ -345,6 +383,25 @@ def test_conv2d_backward_without_dx(layer):
     assert np.array_equal(dw_only, dw) and np.array_equal(db_only, db)
 
 
+@pytest.mark.parametrize("height,width,channels", [(8, 8, 8), (8, 12, 2), (64, 64, 4)])
+def test_forward_bytes_is_the_cache_plus_the_largest_im2col(monkeypatch, height, width,
+                                                           channels):
+    im2col = []  # (Cin*kh*kw) x (B*ho*wo) values, for each conv the forward runs
+
+    def recording_conv2d(x, w, b, stride=1):
+        y = conv2d(x, w, b, stride)
+        im2col.append(w[0].size * y.shape[0] * y.shape[2] * y.shape[3])
+        return y
+
+    conv2d = model._conv2d
+    monkeypatch.setattr(model, "_conv2d", recording_conv2d)
+    cfg = ModelConfig(GridShape(height, width), base_channels=channels)
+    _, _, cache = _forward_batch(init_params(cfg), np.zeros((3, 1, height, width)))
+    cached = sum(cache[k].nbytes for k in ("a1", "a2", "a3", "a4", "a5", "pred", "recon"))
+    assert len(im2col) == 5
+    assert forward_bytes(cfg, 3) == cached + 8 * max(im2col)
+
+
 def test_sigmoid_bits_match_the_two_branch_formula():
     z = np.concatenate([np.random.default_rng(41).normal(scale=30.0, size=2000),
                         [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, np.nan]])
@@ -355,7 +412,7 @@ def test_sigmoid_bits_match_the_two_branch_formula():
         ez = np.exp(z[~pos])
         expected[~pos] = ez / (1.0 + ez)
     with np.errstate(over="raise", invalid="raise"):
-        got = _sigmoid(z[None, None, :])[0, 0]
+        got = _sigmoid(z[None, None, :].copy())[0, 0]  # it overwrites its argument
     assert np.array_equal(got, expected, equal_nan=True)
 
 
