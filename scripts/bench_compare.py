@@ -7,16 +7,18 @@
 Each checkout runs its own ``perfbench/run.py``, so each imports its own
 ``src/``. For every workload the two checkouts run ``PAIRS`` pairs of
 untraced ``SECONDS``-second runs, pair k on seed ``SEED + k`` for both sides,
-and the side that runs first alternates. Then each runs once with
-``--trace 1 --seconds TRACE_SECONDS --seed SEED`` for the per-layer metrics.
-The output keeps perfbench's result lines as printed (the ``machine`` and
-``detail`` lines parsed from JSON) plus, per workload, the median of each
-end-to-end metric and the change/parent ratio. For each end-to-end metric
-that ``BENCHMARK.json`` declares, it also writes ``change_wins``, the number
-of pairs in which the change beat the parent in the declared ``better``
-direction (a tie counts for neither side), and ``parent_iqr``, the
-interquartile range of the parent's runs (inclusive quartiles, as numpy's
-default percentile).
+and the side that runs first alternates. Then they run ``PAIRS`` traced pairs
+the same way, with ``--trace 1 --seconds TRACE_SECONDS``, for the per-layer
+metrics. The output keeps perfbench's result lines as printed (the
+``machine`` and ``detail`` lines parsed from JSON) plus, per workload, the
+median of each end-to-end metric and the change/parent ratio (left out where
+the parent's median is 0). For each end-to-end metric that ``BENCHMARK.json``
+declares, it also writes ``change_wins``, the number of pairs in which the
+change beat the parent in the declared ``better`` direction (a tie counts for
+neither side), and ``parent_iqr``, the interquartile range of the parent's
+runs (inclusive quartiles, as numpy's default percentile). Under ``trace``,
+each workload has the same four entries for the traced pairs, over the
+``per_layer`` metrics that ``BENCHMARK.json`` declares.
 
 A run that exits non-zero, prints no result or reports ``"correct": false``
 is kept out of the medians, the win counts and the quartiles (a pair counts
@@ -103,6 +105,31 @@ def iqr(runs, names) -> dict:
     return out
 
 
+def alternating_pairs(checkouts: dict, workload: str, seconds: float, trace: int) -> dict:
+    """PAIRS runs per side, pair k on seed SEED + k, the side that runs first alternating."""
+    runs = {side: [] for side in checkouts}
+    for k in range(PAIRS):
+        for side in sorted(checkouts, reverse=k % 2 == 1):
+            runs[side].append(run(checkouts[side], workload, SEED + k, seconds, trace))
+    return runs
+
+
+def compare(runs: dict, declared: list) -> dict:
+    """Medians, change/parent ratios, win counts and the parent's spread of paired runs,
+    with each declared metric's direction; declared is a BENCHMARK.json metric list."""
+    med = {side: medians(r) for side, r in runs.items()}
+    better = {m["name"]: m["better"] for m in declared
+              if m["name"] in med["parent"] or m["name"] in med["change"]}
+    return {
+        "median": med,
+        "change_over_parent": {name: med["change"][name] / med["parent"][name]
+                               for name in med["parent"]
+                               if name in med["change"] and med["parent"][name]},
+        "change_wins": change_wins(runs, better),
+        "parent_iqr": iqr(runs["parent"], better),
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -111,34 +138,24 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    declared = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    declared = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     doc = {"command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace {0,1}",
-           "pairs": PAIRS, "seconds": SECONDS, "workloads": {}}
+           "pairs": PAIRS, "seconds": SECONDS, "trace_seconds": TRACE_SECONDS,
+           "workloads": {}}
     for wl in WORKLOADS:
-        runs = {side: [] for side in checkouts}
-        for k in range(PAIRS):
-            for side in sorted(checkouts, reverse=k % 2 == 1):
-                runs[side].append(run(checkouts[side], wl, SEED + k, SECONDS, 0))
-        traced = {side: run(path, wl, SEED, TRACE_SECONDS, 1)
-                  for side, path in checkouts.items()}
-        med = {side: medians(r) for side, r in runs.items()}
-        better = {m["name"]: m["better"] for m in declared
-                  if m["name"] in med["parent"] or m["name"] in med["change"]}
+        runs = alternating_pairs(checkouts, wl, SECONDS, 0)
+        traced = alternating_pairs(checkouts, wl, TRACE_SECONDS, 1)
         machines = [r["machine"] for r in runs["change"] + runs["parent"] if "machine" in r]
         if machines:
             doc.setdefault("machine", machines[0])
-        attempted = {side: r + [traced[side]] for side, r in runs.items()}
+        attempted = {side: r + traced[side] for side, r in runs.items()}
         doc["workloads"][wl] = {
-            "median": med,
-            "change_over_parent": {name: med["change"][name] / med["parent"][name]
-                                   for name in med["parent"] if name in med["change"]},
-            "change_wins": change_wins(runs, better),
-            "parent_iqr": iqr(runs["parent"], better),
+            **compare(runs, declared["end_to_end"]),
             "runs_attempted": {side: len(r) for side, r in attempted.items()},
             "runs_failed": {side: sum(not x["ok"] for x in r) for side, r in attempted.items()},
             "broken": {side: broken(r) for side, r in attempted.items()},
             "runs": runs,
-            "trace": traced,
+            "trace": {**compare(traced, declared["per_layer"]), "runs": traced},
         }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     n_broken = sum(sum(w["runs_failed"].values()) for w in doc["workloads"].values())

@@ -23,8 +23,8 @@ from .grid import GridShape, foreground_count
 from .model import ModelConfig, ModelParams, forward_bytes, param_shapes, save_checkpoint
 from .morphology import weak_mask
 from .pgm import write_pgm
-from .training import (EVAL_BATCH_SIZE, AblationConfig, default_grid, run_ablation_grid,
-                       run_name)
+from .training import (EVAL_BATCH_SIZE, AblationConfig, default_grid, grid_workers,
+                       run_ablation_grid, run_name)
 
 
 # Largest dataset (16 bytes per pixel: float64 image and mask), parameter vector
@@ -194,8 +194,7 @@ def _run(doc: dict, args, grid: list, jobs: int) -> tuple:
     output path are checked before the dataset is built or loaded. Returns
     the records, a description of the data source and its sample count.
     """
-    if jobs < 1:
-        raise InvalidConfigError(f"jobs must be >= 1, got {jobs}")
+    workers = grid_workers(jobs, len(grid))  # raises on jobs < 1 before anything else
     if ("synth" in doc) == ("dataset_dir" in doc):
         raise InvalidConfigError("exactly one of 'synth' or 'dataset_dir' is required")
     synth = _parse_synth(doc["synth"], args.seed) if "synth" in doc else None
@@ -208,15 +207,14 @@ def _run(doc: dict, args, grid: list, jobs: int) -> tuple:
             raise InvalidConfigError(f"the grid holds run {name} twice; "
                                      "the second would overwrite the first's outputs")
         seen.add(name)
-    # One forward pass in each of up to `jobs` workers. Training batches hold at most the
-    # grid's largest batch_size samples and eval batches EVAL_BATCH_SIZE, and neither
-    # more than the dataset, whose size a synth section gives before it is built.
+    # One forward pass in each worker. Training batches hold at most the grid's largest
+    # batch_size samples and eval batches EVAL_BATCH_SIZE, and neither more than the
+    # dataset, whose size a synth section gives before it is built.
     batch = max(EVAL_BATCH_SIZE, *(cfg.batch_size for cfg in grid))
     if synth is not None:
         batch = min(batch, synth.n_samples)
-    workers = min(jobs, len(grid))
     size = model_config.input_size
-    _check_size("run", f"'base_channels' x 'batch_size' x 'height' x 'width' x jobs = "
+    _check_size("run", f"'base_channels' x 'batch_size' x 'height' x 'width' x workers = "
                 f"{model_config.base_channels} x {batch} x {size.height} x {size.width} "
                 f"x {workers}", workers * forward_bytes(model_config, batch))
     out = _out_dir(doc, args)

@@ -11,9 +11,9 @@ Fixed architecture (C = base_channels):
 
 Forward/backward are hand-written numpy; gradients are exact (checked
 against finite differences in the test suite). ReLU'(0) := 0. Activations
-and gradients are (B, C, H, W) views of channel-major (C, B, H, W) memory,
-and `_pad` is the one place where a conv input is laid out; every conv
-pads by 1.
+and gradients are (B, C, H, W) views of channel-major (C, B, H, W) memory.
+Every conv pads by 1. `_pad` and `_unpad` move a grid into and out of its one
+stride-phase layout, which the strided backward and the decoders' phases share.
 """
 from __future__ import annotations
 
@@ -28,6 +28,8 @@ from .grid import GridShape, Image, SoftMask
 
 _CKPT_MAGIC = b"SSEGCKPT"
 _CKPT_VERSION = 1
+# magic, version, height, width, base_channels, seed, parameter count
+_CKPT_HEADER = struct.Struct("<8sIIIIIQ")
 _MAX_SEED = 2**32 - 1  # save_checkpoint stores the seed as a uint32
 
 
@@ -131,27 +133,36 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _phase_copies(h, w, s):
     """Index pairs (phase, grid) that move a (C, B, h, w) grid into, or out of, its
-    zero-padded split into stride-s phases, (s, s, C, B, Hq, Wq): phase (a, b) holds
-    padded pixel (s*i + a, s*j + b) at (i, j). One pair, one strided copy, per phase."""
+    split into stride-s phases, (s, s, C, B, Hq, Wq): phase (a, b) holds pixel (u, v) with
+    u % s == a and v % s == b at ((u + 1) // s, (v + 1) // s). One copy per phase."""
     def axis(n):
-        for a in range(s):  # the unpadded indices phase a holds, and where they sit in it
-            u0 = (a - 1) % s  # the first unpadded index u with (u + 1) % s == a
-            i0 = (u0 + 1) // s
-            yield a, slice(u0, n, s), slice(i0, i0 + len(range(u0, n, s)))
+        for a in range(s):
+            i0 = (a + 1) // s
+            yield a, slice(a, n, s), slice(i0, i0 + len(range(a, n, s)))
     full = slice(None)
     return tuple(((a, b, full, full, i, j), (full, full, rows, cols))
                  for a, rows, i in axis(h) for b, cols, j in axis(w))
 
 
 def _pad(x, s=1):
-    """(B, C, H, W) -> channel-major (s, s, C, B, Hq, Wq), zero-padded by 1 and split
-    into stride-s phases, Hq = ceil((H+2)/s). At s == 1, [0, 0] is the padded input."""
+    """(B, C, H, W) -> channel-major (s, s, C, B, Hq, Wq), zero-padded by 1 and split into
+    _phase_copies' stride-s phases, Hq = ceil((H+2)/s). At s == 1, [0, 0] is the padded input."""
     bsz, c, h, w = x.shape
     out = np.zeros((s, s, c, bsz, -(-(h + 2) // s), -(-(w + 2) // s)))
     xc = x.transpose(1, 0, 2, 3)
     for phase, grid in _phase_copies(h, w, s):
         out[phase] = xc[grid]
     return out
+
+
+def _unpad(phases, h, w):
+    """The inverse of _pad: (s, s, C, B, Hq, Wq) phases -> the (B, C, h, w) grid they
+    hold, a view of contiguous channel-major memory. The padding is dropped."""
+    s, _, c, bsz = phases.shape[:4]
+    out = np.empty((c, bsz, h, w))
+    for phase, grid in _phase_copies(h, w, s):
+        out[grid] = phases[phase]
+    return out.transpose(1, 0, 2, 3)
 
 
 def _conv2d(x, w, b, stride=1):
@@ -175,11 +186,12 @@ def _conv2d(x, w, b, stride=1):
 def _conv2d_backward(dy, x, w, stride=1, *, dx=True):
     """Shifted-GEMM backward (Chellapilla, Puri & Simard 2006), no im2col copy.
 
-    The padded input is split into stride**2 phases, each flattened
+    The padded input is split into stride**2 phases by _pad, each flattened
     channel-major to (Cin, B*Hq*Wq). Output (b, i, j) sits at flat index
-    p = (b*Hq + i)*Wq + j of the same grid, and kernel tap (di, dj) reads
-    phase (di % s, dj % s) at p + (di // s)*Wq + dj // s, so every tap is one
-    contiguous slice. dy is zero on the grid positions that are not outputs,
+    p = (b*Hq + i)*Wq + j of the same grid. Kernel tap (di, dj) reads padded
+    pixel (s*i + di, s*j + dj), unpadded pixel (s*i + di - 1, s*j + dj - 1): phase
+    ((di - 1) % s, (dj - 1) % s) at p + (di // s)*Wq + dj // s, so every tap is
+    one contiguous slice. dy is zero on the grid positions that are not outputs,
     so the windows that wrap across a row or an image add exactly 0.
     dx is a (B, Cin, H, W) view of channel-major memory, or None when the
     caller passes dx=False and only wants dw and db.
@@ -196,15 +208,16 @@ def _conv2d_backward(dy, x, w, stride=1, *, dx=True):
     n = bsz * hq * wq - ((kh - 1) // s) * wq - (kw - 1) // s
     g = g.reshape(cout, -1)[:, :n]
     dw = np.empty_like(w)
-    # The taps (a + s*r, b + s*c) of phase (a, b) read it at offset r*Wq + c: one
-    # (rows, cols, n, Cin) window, so one stacked matmul makes their dw blocks, each
-    # the same GEMM, bit for bit, as a per-tap g @ phases[a, b, :, off:off + n].T
+    # The taps (a0 + s*r, b0 + s*c) of phase (a, b), a0 = (a + 1) % s, read it at offset
+    # r*Wq + c: one (rows, cols, n, Cin) window, so one stacked matmul makes their dw
+    # blocks, each the same GEMM, bit for bit, as a per-tap g @ phases[a, b, :, off:off + n].T
     sa, sb, sc, sp = phases.strides
     for a in range(s):
         for b in range(s):
-            win = np.ndarray((len(range(a, kh, s)), len(range(b, kw, s)), n, cin),
+            a0, b0 = (a + 1) % s, (b + 1) % s
+            win = np.ndarray((len(range(a0, kh, s)), len(range(b0, kw, s)), n, cin),
                              phases.dtype, phases, a * sa + b * sb, (wq * sp, sp, sp, sc))
-            dw[:, :, a::s, b::s] = np.matmul(g, win).transpose(2, 3, 0, 1)
+            dw[:, :, a0::s, b0::s] = np.matmul(g, win).transpose(2, 3, 0, 1)
     db = g.sum(axis=1)
     if not dx:
         return None, dw, db
@@ -215,15 +228,9 @@ def _conv2d_backward(dy, x, w, stride=1, *, dx=True):
     for di in range(kh):
         for dj in range(kw):
             off = (di // s) * wq + dj // s
-            dphases[di % s, dj % s, :, off:off + n] += np.matmul(wt[di, dj], g, out=tap)
-    if s == 1:
-        dxc = dphases.reshape(cin, bsz, hq, wq)[:, :, 1:h + 1, 1:wd + 1]
-    else:  # one strided copy per phase, each along a whole row, into contiguous memory
-        dxc = np.empty((cin, bsz, h, wd))
-        dphases = dphases.reshape(s, s, cin, bsz, hq, wq)
-        for phase, grid in _phase_copies(h, wd, s):
-            dxc[grid] = dphases[phase]
-    return dxc.transpose(1, 0, 2, 3), dw, db
+            a, b = (di - 1) % s, (dj - 1) % s
+            dphases[a, b, :, off:off + n] += np.matmul(wt[di, dj], g, out=tap)
+    return _unpad(dphases.reshape(xp.shape), h, wd), dw, db
 
 
 def _upsample2(x):
@@ -241,20 +248,11 @@ _PHASE_FOLD_T = np.ascontiguousarray(_PHASE_FOLD.T)  # built once, not a .T view
 
 
 def _phase_kernels(w):
-    """(Cout, Cin, 3, 3) -> (4*Cout, Cin, 2, 2), phase-major."""
+    """(Cout, Cin, 3, 3) -> (4*Cout, Cin, 2, 2), phase-major: block 2a + b of Cout
+    kernels makes output phase (a, b), the pixels (u, v) with u % 2 == a and v % 2 == b."""
     cout, cin = w.shape[:2]
     w4 = np.dot(w.reshape(cout * cin, 9), _PHASE_FOLD_T).reshape(cout, cin, 4, 2, 2)
     return w4.transpose(2, 0, 1, 3, 4).reshape(4 * cout, cin, 2, 2)
-
-
-def _row_phases(grid, c):
-    """Phases (0, c) and (1, c) of a channel-major (4*Cout, B, h+1, w+1) phase grid, as
-    one (Cout, B, h, 2, w) view whose axis 3 is the row phase a: phase (a, c) holds
-    output pixel (2r + a, 2q + c) at (r + a, q + c), 2*a + c blocks of Cout channels in."""
-    cout, bsz, h, wd = grid.shape[0] // 4, grid.shape[1], grid.shape[2] - 1, grid.shape[3] - 1
-    sp, sb, sr, sq = grid.strides
-    return np.ndarray((cout, bsz, h, 2, wd), grid.dtype, grid, c * (cout * sp + sq),
-                      (sp, sb, sr, 2 * cout * sp + sr, sq))
 
 
 def _upconv(x, w4, b):
@@ -263,26 +261,20 @@ def _upconv(x, w4, b):
 
     One 2x2 conv of the low-res x makes all four output phases as a
     (B, 4*Cout, h+1, w+1) grid; output pixel (2r + a, 2c + b) is phase
-    (a, b) at (r + a, c + b). The upsampled input is never built, and the
-    phases are interleaved in two strided copies, one per column phase.
+    (a, b) at (r + a, c + b). That is _pad's stride-2 layout of the output,
+    so _unpad interleaves the phases, and the upsampled input is never built.
     """
     bsz, _, h, wd = x.shape
     cout = w4.shape[0] // 4
     y4 = _conv2d(x, w4, np.concatenate((b, b, b, b))).transpose(1, 0, 2, 3)  # contiguous
-    y = np.empty((cout, bsz, h, 2, wd, 2))
-    for c in range(2):
-        y[..., c] = _row_phases(y4, c)
-    return y.reshape(cout, bsz, 2 * h, 2 * wd).transpose(1, 0, 2, 3)
+    return _unpad(y4.reshape(2, 2, cout, bsz, h + 1, wd + 1), 2 * h, 2 * wd)
 
 
 def _upconv_backward(dy, x, w4):
     """dx, dw, db of _upconv(x, w4, b), with dw of the 3x3 kernel w that w4 folds."""
     bsz, cin, h, wd = x.shape
     cout = w4.shape[0] // 4
-    g4 = np.zeros((4 * cout, bsz, h + 1, wd + 1))
-    dy6 = dy.transpose(1, 0, 2, 3).reshape(cout, bsz, h, 2, wd, 2)
-    for c in range(2):
-        _row_phases(g4, c)[...] = dy6[..., c]
+    g4 = _pad(dy, 2).reshape(4 * cout, bsz, h + 1, wd + 1)
     dx, dw4, db4 = _conv2d_backward(g4.transpose(1, 0, 2, 3), x, w4)
     dw4 = dw4.reshape(4, cout, cin, 4).transpose(1, 2, 0, 3).reshape(cout * cin, 16)
     return (dx, (dw4 @ _PHASE_FOLD).reshape(cout, cin, 3, 3),
@@ -385,9 +377,9 @@ def forward(params: ModelParams, image: Image) -> ForwardTrace:
 
 def save_checkpoint(params: ModelParams, path):
     cfg = params.config
-    header = struct.pack("<8sIIIIIQ", _CKPT_MAGIC, _CKPT_VERSION,
-                         cfg.input_size.height, cfg.input_size.width,
-                         cfg.base_channels, cfg.seed, params.n_params)
+    header = _CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION,
+                               cfg.input_size.height, cfg.input_size.width,
+                               cfg.base_channels, cfg.seed, params.n_params)
     with open(path, "wb") as f:
         f.write(header)
         f.write(params.flat.astype("<f8").tobytes())
@@ -396,10 +388,10 @@ def save_checkpoint(params: ModelParams, path):
 def load_checkpoint(path) -> ModelParams:
     with open(path, "rb") as f:
         raw = f.read()
-    hsize = struct.calcsize("<8sIIIIIQ")
+    hsize = _CKPT_HEADER.size
     if len(raw) < hsize:
         raise MalformedFileError(f"{path}: truncated checkpoint")
-    magic, version, h, w, c, seed, n = struct.unpack("<8sIIIIIQ", raw[:hsize])
+    magic, version, h, w, c, seed, n = _CKPT_HEADER.unpack_from(raw)
     if magic != _CKPT_MAGIC:
         raise MalformedFileError(f"{path}: bad magic {magic!r}")
     if version != _CKPT_VERSION:

@@ -267,15 +267,20 @@ def default_grid(coverages=(0.04, 0.08, 0.12), seed: int = 0,
     return grid
 
 
+def grid_workers(jobs: int, n_configs: int) -> int:
+    """The worker processes that run n_configs configs at once: min(jobs, configs, CPUs)."""
+    if jobs < 1:
+        raise InvalidConfigError(f"jobs must be >= 1, got {jobs}")
+    return min(jobs, n_configs, os.cpu_count() or 1)
+
+
 def run_ablation_grid(dataset, model_config: ModelConfig, grid,
                       jobs: int = 1) -> list:
     """One RunRecord per config; configs sharing a seed share the data split.
 
-    Uses min(jobs, configs, CPUs) worker processes, and none when that is 1.
+    Runs in grid_workers(jobs, configs) worker processes, and in none when that is 1.
     """
-    if jobs < 1:
-        raise InvalidConfigError(f"jobs must be >= 1, got {jobs}")
-    workers = min(jobs, len(grid), os.cpu_count() or 1)
+    workers = grid_workers(jobs, len(grid))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

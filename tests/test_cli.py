@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from statseg import cli, data
+from statseg import cli, data, training
 from statseg.cli import main
 from statseg.errors import StatsegError
 from statseg.grid import GridShape
@@ -119,18 +119,23 @@ def dataset_reached(*args):
     raise DatasetReached
 
 
-@pytest.mark.parametrize("command,jobs,batch_size,largest", [
-    ("train", 1, 20, 20),
-    ("train", 1, 1, EVAL_BATCH_SIZE),
-    ("train", 1, 10**9, 50),     # no batch holds more than the dataset's 50 samples
-    ("ablate", 3, 20, 20),       # three workers, one forward pass each
+@pytest.mark.parametrize("command,jobs,cpus,workers,batch_size,largest", [
+    pytest.param("train", 1, 8, 1, 20, 20, id="train-1-20-20"),
+    pytest.param("train", 1, 8, 1, 1, EVAL_BATCH_SIZE, id=f"train-1-1-{EVAL_BATCH_SIZE}"),
+    # no batch holds more than the dataset's 50 samples
+    pytest.param("train", 1, 8, 1, 10**9, 50, id="train-1-1000000000-50"),
+    # three workers, one forward pass each
+    pytest.param("ablate", 3, 8, 3, 20, 20, id="ablate-3-20-20"),
+    # two CPUs: two workers run, not three
+    pytest.param("ablate", 3, 2, 2, 20, 20, id="ablate-3-20-20-2cpus"),
 ])
-def test_forward_pass_at_the_ceiling_is_accepted(tmp_path, monkeypatch, capsys,
-                                                 command, jobs, batch_size, largest):
+def test_forward_pass_at_the_ceiling_is_accepted(tmp_path, monkeypatch, capsys, command,
+                                                 jobs, cpus, workers, batch_size, largest):
     # the estimate is taken at the larger of the training and the eval batch, capped by
-    # the dataset size, once per worker; at the ceiling the run goes on to build its
-    # dataset, one byte under it exits 1
-    ceiling = jobs * forward_bytes(ModelConfig(GridShape(8, 8)), largest)
+    # the dataset size, once per worker that runs; at the ceiling the run goes on to
+    # build its dataset, one byte under it exits 1
+    ceiling = workers * forward_bytes(ModelConfig(GridShape(8, 8)), largest)
+    monkeypatch.setattr(training.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(data, "generate_synthetic", dataset_reached)
     argv = [command, "--config", forward_pass_doc(tmp_path, command, batch_size, 50)]
     if command == "ablate":
@@ -141,7 +146,7 @@ def test_forward_pass_at_the_ceiling_is_accepted(tmp_path, monkeypatch, capsys,
     monkeypatch.setattr(cli, "MAX_CONFIG_BYTES", ceiling - 1)
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and f"= 8 x {largest} x 8 x 8 x {jobs} needs" in err[0]
+    assert len(err) == 1 and f"= 8 x {largest} x 8 x 8 x {workers} needs" in err[0]
 
 
 def test_synth_unknown_key_rejected(tmp_path):

@@ -11,9 +11,10 @@ from statseg.grid import GridShape, Image, Mask
 from statseg import model
 from statseg.losses import LossWeights, total_loss
 from statseg.model import (ModelConfig, ModelParams, _backward_batch, _conv2d,
-                           _conv2d_backward, _forward_batch, _phase_kernels, _sigmoid,
-                           _upconv, _upconv_backward, _upsample2, forward, forward_bytes,
-                           init_params, load_checkpoint, param_shapes, save_checkpoint)
+                           _conv2d_backward, _forward_batch, _pad, _phase_kernels, _sigmoid,
+                           _unpad, _upconv, _upconv_backward, _upsample2, forward,
+                           forward_bytes, init_params, load_checkpoint, param_shapes,
+                           save_checkpoint)
 from statseg.morphology import weak_mask
 
 CFG = ModelConfig(GridShape(8, 8), base_channels=4, seed=3)
@@ -195,6 +196,31 @@ def channel_major(a):
     return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
 
 
+@pytest.mark.parametrize("layout", ["c_order", "channel_major"])
+@pytest.mark.parametrize("bsz", [1, 3])
+@pytest.mark.parametrize("h,wd", [(8, 12), (7, 9)])
+@pytest.mark.parametrize("s", [1, 2])
+def test_pad_phases_hold_pixels_by_parity_and_unpad_inverts_it(s, h, wd, bsz, layout):
+    x = np.random.default_rng(53).normal(size=(bsz, 3, h, wd))
+    if layout == "channel_major":
+        x = channel_major(x)
+    xp = _pad(x, s)
+    assert xp.shape == (s, s, 3, bsz, -(-(h + 2) // s), -(-(wd + 2) // s))
+    rest = xp.copy()
+    for a in range(s):
+        for b in range(s):
+            # pixel (u, v) of phase (a, b) sits at ((u + 1) // s, (v + 1) // s)
+            block = x[:, :, a::s, b::s].transpose(1, 0, 2, 3)
+            i0, j0 = (a + 1) // s, (b + 1) // s
+            rows, cols = slice(i0, i0 + block.shape[2]), slice(j0, j0 + block.shape[3])
+            assert np.array_equal(xp[a, b, :, :, rows, cols], block)
+            rest[a, b, :, :, rows, cols] = 0.0
+    assert not rest.any()
+    back = _unpad(xp, h, wd)
+    assert back.transpose(1, 0, 2, 3).flags.c_contiguous
+    assert np.array_equal(back, x)
+
+
 # every layer of the network on an 8x12 input with C = 2:
 # (cin, cout, kernel, stride, input height, input width); every conv pads by 1.
 # The model runs seg and rec as dot products on a5 (test_heads_match_nested_loops);
@@ -299,6 +325,42 @@ def four_assignment_upconv(x, w, b):
     return y
 
 
+def row_phases(grid, c):
+    """Phases (0, c) and (1, c) of a channel-major (4*Cout, B, h+1, w+1) phase grid, as
+    one (Cout, B, h, 2, w) view whose axis 3 is the row phase a: phase (a, c) holds
+    output pixel (2r + a, 2q + c) at (r + a, q + c), 2*a + c blocks of Cout channels in."""
+    cout, bsz, h, wd = grid.shape[0] // 4, grid.shape[1], grid.shape[2] - 1, grid.shape[3] - 1
+    sp, sb, sr, sq = grid.strides
+    return np.ndarray((cout, bsz, h, 2, wd), grid.dtype, grid, c * (cout * sp + sq),
+                      (sp, sb, sr, 2 * cout * sp + sr, sq))
+
+
+def row_phases_upconv(x, w4, b):
+    """_upconv with its phases interleaved one column phase at a time, as it was."""
+    bsz, _, h, wd = x.shape
+    cout = w4.shape[0] // 4
+    y4 = _conv2d(x, w4, np.concatenate((b, b, b, b))).transpose(1, 0, 2, 3)
+    y = np.empty((cout, bsz, h, 2, wd, 2))
+    for c in range(2):
+        y[..., c] = row_phases(y4, c)
+    return y.reshape(cout, bsz, 2 * h, 2 * wd).transpose(1, 0, 2, 3)
+
+
+def row_phases_upconv_backward(dy, x, w4):
+    """_upconv_backward with dy scattered into its phases one column phase at a time,
+    as it was."""
+    bsz, cin, h, wd = x.shape
+    cout = w4.shape[0] // 4
+    g4 = np.zeros((4 * cout, bsz, h + 1, wd + 1))
+    dy6 = dy.transpose(1, 0, 2, 3).reshape(cout, bsz, h, 2, wd, 2)
+    for c in range(2):
+        row_phases(g4, c)[...] = dy6[..., c]
+    dx, dw4, db4 = _conv2d_backward(g4.transpose(1, 0, 2, 3), x, w4)
+    dw4 = dw4.reshape(4, cout, cin, 4).transpose(1, 2, 0, 3).reshape(cout * cin, 16)
+    return (dx, (dw4 @ model._PHASE_FOLD).reshape(cout, cin, 3, 3),
+            db4.reshape(4, cout).sum(axis=0))
+
+
 @pytest.mark.parametrize("bsz", [1, 3])
 @pytest.mark.parametrize("layer", ["dec1", "dec2"])
 def test_upconv_matches_upsample_then_conv(layer, bsz):
@@ -310,6 +372,7 @@ def test_upconv_matches_upsample_then_conv(layer, bsz):
         assert np.allclose(got, expected, rtol=1e-13, atol=1e-13)
     assert np.array_equal(_upconv(channel_major(x), _phase_kernels(w), b), got)
     assert np.array_equal(four_assignment_upconv(x, w, b), got)
+    assert np.array_equal(row_phases_upconv(x, _phase_kernels(w), b), got)
 
 
 @pytest.mark.parametrize("layout", ["c_order", "channel_major"])
@@ -330,6 +393,9 @@ def test_upconv_backward_matches_nested_loops(layer, bsz, layout):
         assert a.shape == b.shape, name
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12), name
         assert np.array_equal(a, c), name
+    for name, a, b in zip(("dx", "dw", "db"), got,
+                          row_phases_upconv_backward(dy, x, _phase_kernels(w))):
+        assert np.array_equal(a, b), name
 
 
 def test_activations_are_views_of_channel_major_memory():
