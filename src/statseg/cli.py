@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -31,6 +32,9 @@ from .training import (EVAL_BATCH_SIZE, AblationConfig, default_grid, grid_worke
 # (8 bytes per parameter) or forward pass (model.forward_bytes) that a config may ask
 # for, checked before anything is allocated.
 MAX_CONFIG_BYTES = 4 * 2**30
+
+# An ablate config's options for the default grid, which an explicit "grid" rejects.
+DEFAULT_GRID_OPTIONS = ("coverages", "epochs", "batch_size", "learning_rate")
 
 
 def _check_size(context: str, keys: str, nbytes: int):
@@ -87,10 +91,10 @@ def _load_json(path) -> dict:
     if not path.is_file():
         raise InvalidConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(path.read_text())
+    # JSONDecodeError, UnicodeDecodeError, int()'s digit limit, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise InvalidConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return doc
 
 
 def _section(d, context: str, keys: dict, required=(), seed=None) -> dict:
@@ -168,11 +172,7 @@ def cmd_synth(args) -> int:
 def cmd_weakmask(args) -> int:
     gt = data_mod.read_mask_pgm(args.mask)
     weak = weak_mask(gt, args.coverage)
-    stem = args.mask.name
-    for suffix in (".mask.pgm", ".pgm"):
-        if stem.endswith(suffix):
-            stem = stem[:-len(suffix)]
-            break
+    stem = re.sub(r"(\.mask)?\.pgm\Z", "", args.mask.name)
     out = Path(args.out) if args.out else args.mask.parent / f"{stem}.weak.pgm"
     write_pgm(out, (weak.values * 255.0).astype(np.uint8))
     n_weak, n_gt = foreground_count(weak), foreground_count(gt)
@@ -254,13 +254,11 @@ def cmd_ablate(args) -> int:
         required=("model",))
     grid_spec = doc.get("grid", "default")
     if grid_spec == "default":
-        options = {k: doc[k] for k in ("coverages", "epochs", "batch_size", "learning_rate")
-                   if k in doc}
+        options = {k: doc[k] for k in DEFAULT_GRID_OPTIONS if k in doc}
         seeds = doc.get("grid_seeds", [0]) if args.seed is None else [args.seed]
         grid = [cfg for seed in seeds for cfg in default_grid(seed=seed, **options)]
     elif isinstance(grid_spec, list):
-        ignored = sorted(set(doc) & {"grid_seeds", "coverages", "epochs",
-                                     "batch_size", "learning_rate"})
+        ignored = sorted(set(doc) & {"grid_seeds", *DEFAULT_GRID_OPTIONS})
         if ignored:
             raise InvalidConfigError(f"ablate config: {ignored} apply only to the "
                                      "default grid, not to an explicit 'grid'")

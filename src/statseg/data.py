@@ -154,31 +154,29 @@ def read_mask_pgm(path) -> Mask:
 
 
 def load_dataset(dir_path) -> list:
-    """Load all `<stem>.img.pgm` / `<stem>.mask.pgm` pairs, sorted by stem.
+    """Load all `<stem>.img.pgm` / `<stem>.mask.pgm` pairs, in image file-name order.
 
-    Pairs with an all-zero mask raise EmptyMaskError rather than being
-    skipped silently, and a directory with no pair raises MissingPairError.
+    A file without its pair, or a directory with no pair, raises MissingPairError
+    before any file is read; an all-zero mask raises EmptyMaskError, not a skip.
     """
     dir_path = Path(dir_path)
-    imgs = sorted(dir_path.glob("*.img.pgm"))
-    mask_stems = {p.name[:-len(".mask.pgm")] for p in dir_path.glob("*.mask.pgm")}
-    if not imgs and not mask_stems:
+    imgs = {p.name[:-len(".img.pgm")]: p for p in sorted(dir_path.glob("*.img.pgm"))}
+    masks = {p.name[:-len(".mask.pgm")]: p for p in dir_path.glob("*.mask.pgm")}
+    unpaired = sorted((imgs | masks)[stem].name for stem in imgs.keys() ^ masks.keys())
+    if unpaired:
+        raise MissingPairError(f"{dir_path / unpaired[0]} has no pair "
+                               f"({len(unpaired)} unpaired files)")
+    if not imgs:
         raise MissingPairError(f"{dir_path}: no .img.pgm / .mask.pgm pairs found")
-    img_stems = [p.name[:-len(".img.pgm")] for p in imgs]
-    for stem in sorted(mask_stems.difference(img_stems)):
-        raise MissingPairError(f"{dir_path / (stem + '.mask.pgm')}: no matching image")
     samples = []
-    for stem, img_path in zip(img_stems, imgs):
-        mask_path = dir_path / f"{stem}.mask.pgm"
-        if stem not in mask_stems:
-            raise MissingPairError(f"{img_path}: no matching mask {mask_path.name}")
+    for stem, img_path in imgs.items():
         image = read_image_pgm(img_path)
-        gt = read_mask_pgm(mask_path)
+        gt = read_mask_pgm(masks[stem])
         if image.shape != gt.shape:
             raise ShapeMismatchError(
                 f"{stem}: image is {image.shape}, mask is {gt.shape}")
         if foreground_count(gt) == 0:
-            raise EmptyMaskError(f"{mask_path}: mask has no foreground")
+            raise EmptyMaskError(f"{masks[stem]}: mask has no foreground")
         samples.append(Sample(image=image, gt=gt, stat=summary_stat(gt)))
     return samples
 

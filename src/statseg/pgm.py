@@ -1,9 +1,17 @@
 """Minimal binary PGM (P5) reader/writer, maxval <= 255."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import MalformedFileError
+
+# "P5", width, height and maxval, with whitespace or '#' comments (to the end of the line)
+# where a token may start, then one whitespace byte. No number takes more digits than
+# int() converts by default (4300), so a longer run is a malformed header.
+_GAP = rb"(?:\s|#[^\n]*\n)*"
+_HEADER = re.compile(_GAP + rb"P5" + (rb"\s" + _GAP + rb"(\d{1,4300})") * 3 + rb"\s")
 
 
 def write_pgm(path, values: np.ndarray):
@@ -23,39 +31,15 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     """Returns (uint8 array of shape (h, w), maxval)."""
     with open(path, "rb") as f:
         data = f.read()
-
-    # header: magic, width, height, maxval as whitespace-separated tokens,
-    # '#' comments allowed, a single whitespace byte before the raster
-    tokens = []
-    pos = 0
-    while len(tokens) < 4:
-        if pos >= len(data):
-            raise MalformedFileError(f"{path}: truncated PGM header")
-        ch = data[pos:pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            end = data.find(b"\n", pos)
-            pos = len(data) if end < 0 else end + 1
-        else:
-            end = pos
-            while end < len(data) and not data[end:end + 1].isspace():
-                end += 1
-            tokens.append(data[pos:end])
-            pos = end
-    pos += 1  # the single whitespace after maxval
-
-    if tokens[0] != b"P5":
-        raise MalformedFileError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
-    try:
-        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError as exc:
-        raise MalformedFileError(f"{path}: non-numeric PGM header") from exc
+    header = _HEADER.match(data)
+    if header is None:
+        raise MalformedFileError(f"{path}: not a binary PGM header (P5 width height maxval)")
+    w, h, maxval = map(int, header.groups())
     if w < 1 or h < 1:
         raise MalformedFileError(f"{path}: bad dimensions {w}x{h}")
     if not 1 <= maxval <= 255:
         raise MalformedFileError(f"{path}: unsupported maxval {maxval}")
-    raster = data[pos:pos + w * h]
+    raster = data[header.end():header.end() + w * h]
     if len(raster) != w * h:
         raise MalformedFileError(f"{path}: expected {w * h} pixels, found {len(raster)}")
     arr = np.frombuffer(raster, dtype=np.uint8).reshape(h, w).copy()

@@ -155,10 +155,11 @@ def _batch(params, samples, masks, idx, weights):
 
 def _mean_report(reports) -> LossReport:
     """Each term's mean over every sample of a list of batch reports."""
-    per_sample = {f.name: np.concatenate([getattr(r, f.name) for r in reports]).tolist()
+    per_sample = {f.name: np.concatenate([getattr(r, f.name) for r in reports])
                   for f in fields(LossReport)}
-    # Python's left-to-right sum, so the mean does not depend on the batching
-    return LossReport(**{name: sum(v) / len(v) for name, v in per_sample.items()})
+    # a strictly left-to-right sum, so the mean depends neither on the batching nor on
+    # the Python version (sum() of floats is compensated from 3.12 on)
+    return LossReport(**{k: float(np.cumsum(v)[-1]) / len(v) for k, v in per_sample.items()})
 
 
 def _mean_total(params, samples, masks, idx, weights, batch_size) -> float:
@@ -254,12 +255,9 @@ def train(dataset, config: AblationConfig, model_config: ModelConfig) -> RunReco
         overlays=overlays)
 
 
-def default_grid(coverages=(0.04, 0.08, 0.12), seed: int = 0,
-                 epochs: int = 30, batch_size: int = 8,
-                 learning_rate: float = 1e-3) -> list:
-    """Stats only, combined at each coverage, weak only, fully supervised."""
-    common = dict(epochs=epochs, batch_size=batch_size,
-                  learning_rate=learning_rate, seed=seed)
+def default_grid(coverages=(0.04, 0.08, 0.12), **common) -> list:
+    """Stats only, combined at each coverage, weak only, fully supervised; `common` holds
+    the AblationConfig fields (epochs, batch_size, learning_rate, seed) all runs share."""
     grid = [AblationConfig(mode="stats_only", **common)]
     grid += [AblationConfig(mode="combined", weak_coverage=c, **common) for c in coverages]
     grid.append(AblationConfig(mode="weak_only", **common))

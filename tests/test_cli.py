@@ -160,6 +160,20 @@ def test_missing_config_exits_1(tmp_path):
     assert main(["synth", "--config", str(tmp_path / "none.json")]) == 1
 
 
+@pytest.mark.parametrize("command", ["synth", "train", "ablate"])
+@pytest.mark.parametrize("content", [
+    pytest.param(b"[" * 100_000, id="nested-too-deeply"),
+    pytest.param(b'{"epochs": ' + b"9" * 5000 + b"}", id="5000-digit-integer"),
+    pytest.param(b"\xff\xfe{}", id="not-utf8"),
+])
+def test_unparseable_config_exits_1_naming_the_file(tmp_path, capsys, command, content):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(content)
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(cfg) in err[0]
+
+
 def test_usage_error_exits_1():
     assert main(["not-a-command"]) == 1
 
@@ -190,6 +204,25 @@ def test_weakmask_square_example(tmp_path, capsys):
     from statseg.data import read_mask_pgm
     weak = read_mask_pgm(tmp_path / "sq.weak.pgm")
     assert weak.values[4, 4] == 1.0 and weak.values.sum() == 1.0
+
+
+@pytest.mark.parametrize("name,out", [
+    ("m.mask.pgm", "m.weak.pgm"), ("m.pgm", "m.weak.pgm"), (".mask.pgm", ".weak.pgm"),
+    ("m.png", "m.png.weak.pgm"), ("m.mask.pgm.bak", "m.mask.pgm.bak.weak.pgm"),
+    ("a.mask.b.pgm", "a.mask.b.weak.pgm"), ("m.pgm\n", "m.pgm\n.weak.pgm"),
+])
+def test_weakmask_names_its_output_after_the_mask(tmp_path, capsys, name, out):
+    square_mask_pgm(tmp_path / name)
+    assert main(["weakmask", str(tmp_path / name), "--coverage", "0.5"]) == 0
+    assert (tmp_path / out).is_file()
+
+
+def test_pgm_with_a_5000_digit_width_exits_2(tmp_path, capsys):
+    pgm = tmp_path / "wide.pgm"
+    pgm.write_bytes(b"P5\n" + b"9" * 5000 + b" 1\n255\n\x00")
+    assert main(["score", str(pgm), str(pgm)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(pgm) in err[0]
 
 
 def test_weakmask_empty_mask_exits_2(tmp_path):

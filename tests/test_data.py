@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from statseg import data
 from statseg.data import (Sample, SynthConfig, generate_synthetic,
                           load_dataset, load_mask_stack, read_image_pgm,
                           read_mask_pgm, save_sample, select_largest_roi_slice,
@@ -127,6 +128,67 @@ def test_pgm_reader_rejects_garbage(tmp_path):
         read_pgm(path)
 
 
+def retired_read_pgm(data: bytes):
+    """The byte-at-a-time header scanner that read_pgm's one pattern replaced, kept as
+    the reference that read_pgm must agree with: (array, maxval) or MalformedFileError."""
+    tokens = []
+    pos = 0
+    while len(tokens) < 4:
+        if pos >= len(data):
+            raise MalformedFileError("truncated PGM header")
+        ch = data[pos:pos + 1]
+        if ch.isspace():
+            pos += 1
+        elif ch == b"#":
+            end = data.find(b"\n", pos)
+            pos = len(data) if end < 0 else end + 1
+        else:
+            end = pos
+            while end < len(data) and not data[end:end + 1].isspace():
+                end += 1
+            tokens.append(data[pos:end])
+            pos = end
+    pos += 1  # the single whitespace after maxval
+    if tokens[0] != b"P5":
+        raise MalformedFileError(f"not a binary PGM (magic {tokens[0]!r})")
+    try:
+        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    except ValueError as exc:
+        raise MalformedFileError("non-numeric PGM header") from exc
+    if w < 1 or h < 1:
+        raise MalformedFileError(f"bad dimensions {w}x{h}")
+    if not 1 <= maxval <= 255:
+        raise MalformedFileError(f"unsupported maxval {maxval}")
+    raster = data[pos:pos + w * h]
+    if len(raster) != w * h:
+        raise MalformedFileError(f"expected {w * h} pixels, found {len(raster)}")
+    arr = np.frombuffer(raster, dtype=np.uint8).reshape(h, w).copy()
+    if arr.max() > maxval:
+        raise MalformedFileError(f"pixel value {arr.max()} above maxval {maxval}")
+    return arr, maxval
+
+
+def pgm_outcome(read, *args):
+    """(shape, pixel bytes, maxval) of what read(*args) returns, or None for
+    MalformedFileError; any other exception propagates."""
+    try:
+        arr, maxval = read(*args)
+    except MalformedFileError:
+        return None
+    return arr.shape, arr.tobytes(), maxval
+
+
+def assert_same_outcome_as_retired_scanner(path, raw: bytes):
+    """read_pgm agrees with the retired scanner on raw, except that the scanner's int()
+    also took a number written with '+' or '_' ("+2", "2_0"), which read_pgm rejects."""
+    path.write_bytes(raw)
+    expected = pgm_outcome(retired_read_pgm, raw)
+    actual = pgm_outcome(read_pgm, path)
+    if actual != expected:
+        assert actual is None and (b"+" in raw or b"_" in raw), raw[:40]
+    return actual
+
+
 VALID_PGMS = [
     b"P5\n3 2\n255\n" + bytes([0, 17, 255, 128, 127, 3]),
     b"P5 # comment\n2 2 1\n" + bytes([0, 1, 1, 0]),
@@ -150,15 +212,92 @@ def test_pgm_corruption_parses_or_raises_malformed(tmp_path, case):
         for k in where:
             raw[k // 8] ^= 1 << (k % 8)
     path = tmp_path / "x.pgm"
-    path.write_bytes(bytes(raw))
-    try:
-        arr, maxval = read_pgm(path)
-    except MalformedFileError:
+    if assert_same_outcome_as_retired_scanner(path, bytes(raw)) is None:
         return
+    arr, maxval = read_pgm(path)
     assert arr.dtype == np.uint8 and arr.ndim == 2 and 1 <= maxval <= 255
     # what parses is a valid image and mask
     read_image_pgm(path)
     read_mask_pgm(path)
+
+
+SPACES = [bytes([b]) for b in range(256) if bytes([b]).isspace()]
+
+
+def header_variant(lead=b"", seps=(b"\n", b" ", b"\n", b"\n"), numbers=(b"2", b"2", b"3")):
+    """A 2x2 maxval-3 P5 file (given the default numbers) with `lead` before the magic
+    and seps[k] after the k-th header token."""
+    tokens = (b"P5", *numbers)
+    return lead + b"".join(t + sep for t, sep in zip(tokens, seps)) + bytes([0, 1, 2, 3])
+
+
+def test_read_pgm_accepts_each_whitespace_byte_as_a_separator(tmp_path):
+    assert SPACES == [b"\t", b"\n", b"\x0b", b"\x0c", b"\r", b" "]
+    for b in range(256):
+        sep = bytes([b])
+        for k in range(4):
+            seps = [b"\n"] * 4
+            seps[k] = sep
+            outcome = assert_same_outcome_as_retired_scanner(tmp_path / "s.pgm",
+                                                              header_variant(seps=seps))
+            assert (outcome is not None) == (sep in SPACES), (b, k)
+        # a run of separators, and a byte before the magic
+        assert_same_outcome_as_retired_scanner(tmp_path / "r.pgm", header_variant(
+            seps=(sep + b" ", b" " + sep, sep * 3, b"\n")))
+        assert_same_outcome_as_retired_scanner(tmp_path / "l.pgm", header_variant(lead=sep))
+
+
+@pytest.mark.parametrize("lead,seps", [
+    (b"\n\t ", None),
+    (b"# before the magic\n", None),
+    (b"#\n#\n", None),
+    (b"  # indented comment\r\n", None),
+    (b"#", None),                                        # a comment that never ends
+    (b"# a\r9 9 9\n", None),                               # only a newline ends one
+    (b"", (b"\n# one\n# two\n", b" ", b"\n", b"\n")),
+    (b"", (b" #no space\n\n", b"\t#x\r\n", b"\n#\n", b"\n")),
+    (b"", (b"#glued to P5\n", b" ", b"\n", b"\n")),    # a '#' inside a token
+    (b"", (b"\n", b"#glued to the width\n", b"\n", b"\n")),
+    (b"", (b"\n", b" ", b"\n", b"#comment after maxval\n")),
+    (b"", (b"\n", b" ", b"\n", b"")),                    # no byte after maxval
+])
+def test_read_pgm_comments_and_leading_whitespace_match_the_retired_scanner(tmp_path, lead,
+                                                                          seps):
+    raw = header_variant(lead=lead, **({} if seps is None else {"seps": seps}))
+    assert_same_outcome_as_retired_scanner(tmp_path / "c.pgm", raw)
+
+
+@pytest.mark.parametrize("numbers,parses", [
+    ((b"2", b"2", b"3"), True),
+    ((b"02", b"0002", b"003"), True),
+    ((b"0" * 4299 + b"2", b"2", b"3"), True),            # 4300 digits: int() takes them
+    ((b"0" * 4300 + b"2", b"2", b"3"), False),           # 4301 digits
+    ((b"9" * 5000, b"2", b"3"), False),
+    ((b"2", b"2", b"9" * 5000), False),
+    ((b"-2", b"2", b"3"), False),
+    ((b"0x2", b"2", b"3"), False),
+    ((b"2.0", b"2", b"3"), False),
+    ((b"0", b"2", b"3"), False),
+    ((b"2", b"2", b"0"), False),
+    ((b"2", b"2", b"256"), False),
+    ((b"2", b"2", b"2"), False),                          # pixel 3 above maxval 2
+    ((b"\xd9\xa2", b"2", b"3"), False),                   # a non-ASCII digit
+])
+def test_read_pgm_numbers_match_the_retired_scanner(tmp_path, numbers, parses):
+    outcome = assert_same_outcome_as_retired_scanner(tmp_path / "n.pgm",
+                                                      header_variant(numbers=numbers))
+    assert (outcome is not None) == parses
+
+
+@pytest.mark.parametrize("numbers", [(b"+2", b"2", b"3"), (b"2", b"2", b"+3"),
+                                     (b"2", b"2", b"0_3")])
+def test_read_pgm_rejects_signs_and_underscores_that_int_took(tmp_path, numbers):
+    raw = header_variant(numbers=numbers)
+    assert pgm_outcome(retired_read_pgm, raw) is not None
+    path = tmp_path / "p.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(MalformedFileError):
+        read_pgm(path)
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -189,6 +328,29 @@ def test_load_orphan_mask(tmp_path):
     write_pgm(tmp_path / "a.mask.pgm", np.zeros((2, 2), dtype=np.uint8))
     with pytest.raises(MissingPairError):
         load_dataset(tmp_path)
+
+
+def test_load_unpaired_file_raises_before_any_read(tmp_path, monkeypatch):
+    write_pgm(tmp_path / "a.img.pgm", np.full((2, 2), 100, dtype=np.uint8))
+    write_pgm(tmp_path / "a.mask.pgm", np.zeros((2, 2), dtype=np.uint8))  # would raise
+    write_pgm(tmp_path / "b.img.pgm", np.full((2, 2), 100, dtype=np.uint8))
+    write_pgm(tmp_path / "c.mask.pgm", np.full((2, 2), 255, dtype=np.uint8))
+
+    def no_read(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(data, "read_pgm", no_read)
+    with pytest.raises(MissingPairError, match=r"b\.img\.pgm has no pair \(2 unpaired"):
+        load_dataset(tmp_path)
+
+
+def test_load_order_is_image_file_name_order(tmp_path):
+    """`a.b.img.pgm` sorts before `a.img.pgm`, though stem `a` sorts before `a.b`."""
+    for stem, level in [("a", 10), ("a.b", 20), ("b", 30)]:
+        write_pgm(tmp_path / f"{stem}.img.pgm", np.full((2, 2), level, dtype=np.uint8))
+        write_pgm(tmp_path / f"{stem}.mask.pgm", np.full((2, 2), 255, dtype=np.uint8))
+    levels = [s.image.values[0, 0] * 255 for s in load_dataset(tmp_path)]
+    assert np.allclose(levels, [20, 10, 30])
 
 
 def test_load_all_zero_mask_rejected(tmp_path):

@@ -82,3 +82,29 @@ def test_tracer_records_the_train_command(tmp_path):
     for span in ("cli.train", "training.train", "evaluation.emit_report",
                  "model.checkpoint_write", "model.params_from_flat"):
         assert tracer.stats.get(span, [0])[0] > 0, span
+
+
+def test_tracer_records_the_pgm_read_path(tmp_path):
+    """A dataset_dir run reads its PGM pairs through data.load_dataset and data.read_pgm."""
+    tr = _load_tracer()
+    mods = {name: importlib.import_module(f"statseg.{name}") for name in _traced_module_names()}
+    data, grid = mods["data"], mods["grid"]
+    for k, sample in enumerate(data.generate_synthetic(
+            data.SynthConfig(grid.GridShape(8, 8), n_samples=4, seed=0))):
+        data.save_sample(sample, tmp_path / "ds", f"{k:04d}")
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({
+        "dataset_dir": str(tmp_path / "ds"),
+        "model": {"height": 8, "width": 8, "base_channels": 2},
+        "ablation": {"mode": "combined", "epochs": 1, "batch_size": 2},
+        "out_dir": str(tmp_path / "out")}))
+    tracer = tr.Tracer()
+    try:
+        tr.install(tracer, mods)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert mods["cli"].main(["train", "--config", str(config)]) == 0
+    finally:
+        tracer.restore()
+    assert tr.leftover_wrappers(mods) == []
+    assert tracer.stats.get("data.load_dataset", [0])[0] == 1
+    assert tracer.stats.get("pgm.read", [0])[0] == 8

@@ -1,5 +1,5 @@
 import concurrent.futures
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from statseg.errors import (EmptyMaskError, InvalidConfigError,
                             ShapeMismatchError)
 from statseg.evaluation import binarize, evaluate_predictions
 from statseg.grid import GridShape, Mask
-from statseg.losses import LossWeights
+from statseg.losses import LossReport, LossWeights
 from statseg.model import ModelConfig, ModelParams, init_params
 from statseg.morphology import weak_mask
 from statseg.training import (MODE_WEIGHTS, MODES, AblationConfig, OptimizerState,
@@ -164,6 +164,26 @@ def test_run_ablation_grid_structure():
     assert len(records) == 2
     assert records[0].mode == "stats_only"
     assert records[0].config == grid[0].as_dict()
+
+
+def test_default_grid_takes_ablation_config_defaults():
+    grid = default_grid(coverages=(0.08,), seed=4)
+    assert grid[0] == AblationConfig(mode="stats_only", seed=4)
+    assert grid[1] == AblationConfig(mode="combined", weak_coverage=0.08, seed=4)
+    assert default_grid(learning_rate=0.5)[-1] == AblationConfig(mode="fully_supervised",
+                                                                 learning_rate=0.5)
+
+
+def test_mean_report_sums_left_to_right_across_batch_reports():
+    """Per-sample totals 1e16, 1.0, -1e16 in two batch reports: a left-to-right sum loses
+    the 1.0 and averages to 0.0, where compensated summation would give 1/3."""
+    def report(total):
+        return LossReport(**{f.name: np.zeros(len(total)) for f in fields(LossReport)
+                             if f.name != "total"}, total=np.array(total))
+
+    mean = training._mean_report([report([1e16, 1.0]), report([-1e16])])
+    assert mean.total == 0.0 and type(mean.total) is float
+    assert mean.l_c == 0.0 and type(mean.l_c) is float
 
 
 def test_grid_rerun_identical():
