@@ -209,10 +209,13 @@ def _run(doc: dict, args, grid: list, jobs: int) -> tuple:
         seen.add(name)
     # One forward pass in each worker. Training batches hold at most the grid's largest
     # batch_size samples and eval batches EVAL_BATCH_SIZE, and neither more than the
-    # dataset, whose size a synth section gives before it is built.
+    # dataset: a synth section's n_samples, or a dataset_dir's image files, counted
+    # before any is read.
     batch = max(EVAL_BATCH_SIZE, *(cfg.batch_size for cfg in grid))
     if synth is not None:
         batch = min(batch, synth.n_samples)
+    elif doc["dataset_dir"].is_dir():
+        batch = min(batch, sum(1 for _ in doc["dataset_dir"].glob("*.img.pgm")))
     size = model_config.input_size
     _check_size("run", f"'base_channels' x 'batch_size' x 'height' x 'width' x workers = "
                 f"{model_config.base_channels} x {batch} x {size.height} x {size.width} "

@@ -43,9 +43,11 @@ class Grid:
 
 
 def _in_unit_interval(arr: np.ndarray, name: str):
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} values must be finite")
-    if arr.min() < 0.0 or arr.max() > 1.0:
+    """Two reductions: NaN and infinities fail them too, and only then is isfinite run,
+    to tell "must be finite" from "must lie in [0, 1]"."""
+    if not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} values must be finite")
         raise ValueError(f"{name} values must lie in [0, 1]")
 
 

@@ -14,6 +14,9 @@ against finite differences in the test suite). ReLU'(0) := 0. Activations
 and gradients are (B, C, H, W) views of channel-major (C, B, H, W) memory.
 Every conv pads by 1. `_pad` and `_unpad` move a grid into and out of its one
 stride-phase layout, which the strided backward and the decoders' phases share.
+Parameters are immutable: a ModelParams is one read-only flat vector, and it
+folds the decoders' phase kernels once, so forwards on the same parameters
+(batch-1 inference, loss and eval passes) fold nothing.
 """
 from __future__ import annotations
 
@@ -77,22 +80,29 @@ def _param_layout(base_channels: int) -> tuple:
 
 
 class ModelParams:
-    """One flat float64 vector, with a named view into it for each tensor."""
+    """One read-only flat float64 vector, with a named view into it for each tensor,
+    and the decoders' phase kernels, folded from it once: every forward and backward
+    on these parameters reads them, and no write to `flat` can leave them stale."""
 
-    __slots__ = ("config", "flat", "tensors")
+    __slots__ = ("config", "flat", "tensors", "phase_kernels")
 
     def __init__(self, config: ModelConfig, flat: np.ndarray):
-        """Takes ownership of `flat`: the views alias it, nothing is copied."""
+        """Takes ownership of `flat`: the views alias it, nothing is copied, and it
+        becomes read-only."""
         layout, total = _param_layout(config.base_channels)
         if flat.dtype != np.float64 or flat.shape != (total,):
             raise ValueError(f"expected a flat float64 vector of {total} entries, "
                              f"got {flat.dtype} {flat.shape}")
         if not np.isfinite(flat).all():
             raise ValueError("parameters contain NaN or infinity")
+        flat.flags.writeable = False
         self.config = config
         self.flat = flat
-        self.tensors = {name: flat[off:off + size].reshape(shape)
-                        for name, shape, off, size in layout}
+        self.tensors = t = {name: flat[off:off + size].reshape(shape)
+                            for name, shape, off, size in layout}
+        self.phase_kernels = {name: _phase_kernels(t[name]) for name in ("dec1.w", "dec2.w")}
+        for w4 in self.phase_kernels.values():
+            w4.flags.writeable = False
 
     def flatten(self) -> np.ndarray:
         return self.flat.copy()
@@ -257,7 +267,7 @@ def _phase_kernels(w):
 
 def _upconv(x, w4, b):
     """_conv2d(_upsample2(x), w, b) as sub-pixel convolution (Shi et al. 2016),
-    given w4 = _phase_kernels(w).
+    given w4 = _phase_kernels(w), which ModelParams.phase_kernels holds.
 
     One 2x2 conv of the low-res x makes all four output phases as a
     (B, 4*Cout, h+1, w+1) grid; output pixel (2r + a, 2c + b) is phase
@@ -292,17 +302,16 @@ class ForwardTrace:
 def _forward_batch(params: ModelParams, x: np.ndarray):
     """x: (B, 1, H, W) -> (pred, recon, cache), each output (B, 1, H, W)."""
     # each conv's and head's output is a fresh array, so its ReLU or sigmoid overwrites it
-    t = params.tensors
-    w4_dec1, w4_dec2 = _phase_kernels(t["dec1.w"]), _phase_kernels(t["dec2.w"])
+    t, w4 = params.tensors, params.phase_kernels
     a1 = _conv2d(x, t["enc1.w"], t["enc1.b"])
     np.maximum(a1, 0.0, out=a1)
     a2 = _conv2d(a1, t["enc2.w"], t["enc2.b"], stride=2)
     np.maximum(a2, 0.0, out=a2)
     a3 = _conv2d(a2, t["enc3.w"], t["enc3.b"], stride=2)
     np.maximum(a3, 0.0, out=a3)
-    a4 = _upconv(a3, w4_dec1, t["dec1.b"])
+    a4 = _upconv(a3, w4["dec1.w"], t["dec1.b"])
     np.maximum(a4, 0.0, out=a4)
-    a5 = _upconv(a4, w4_dec2, t["dec2.b"])
+    a5 = _upconv(a4, w4["dec2.w"], t["dec2.b"])
     np.maximum(a5, 0.0, out=a5)
     a5m = a5.transpose(1, 0, 2, 3).reshape(a5.shape[1], -1)  # (C, B*H*W), a view
     z_seg = np.dot(t["seg.w"].ravel(), a5m)
@@ -311,9 +320,8 @@ def _forward_batch(params: ModelParams, x: np.ndarray):
     z_rec += t["rec.b"]
     pred = _sigmoid(z_seg).reshape(x.shape)
     recon = _sigmoid(z_rec).reshape(x.shape)
-    # the decoders' phase kernels too, so that the backward does not fold them again
     cache = {"x": x, "a1": a1, "a2": a2, "a3": a3, "a4": a4, "a5": a5,
-             "pred": pred, "recon": recon, "dec1.w4": w4_dec1, "dec2.w4": w4_dec2}
+             "pred": pred, "recon": recon}
     return pred, recon, cache
 
 
@@ -335,7 +343,7 @@ def forward_bytes(config: ModelConfig, batch_size: int) -> int:
 def _backward_batch(params: ModelParams, cache: dict,
                     d_pred: np.ndarray, d_recon: np.ndarray) -> np.ndarray:
     """Gradient of every parameter as one flat float64 vector, laid out like params.flat."""
-    t = params.tensors
+    t, w4 = params.tensors, params.phase_kernels
     g = {}
     a5c = cache["a5"].transpose(1, 0, 2, 3)  # (C, B, H, W), contiguous
     a5m = a5c.reshape(len(a5c), -1)
@@ -351,9 +359,9 @@ def _backward_batch(params: ModelParams, cache: dict,
     da5 += t["rec.w"].reshape(-1, 1) * dz_rec
     np.multiply(da5, a5m > 0.0, out=da5)
     da4, g["dec2.w"], g["dec2.b"] = _upconv_backward(
-        da5.reshape(a5c.shape).transpose(1, 0, 2, 3), cache["a4"], cache["dec2.w4"])
+        da5.reshape(a5c.shape).transpose(1, 0, 2, 3), cache["a4"], w4["dec2.w"])
     np.multiply(da4, cache["a4"] > 0.0, out=da4)
-    da3, g["dec1.w"], g["dec1.b"] = _upconv_backward(da4, cache["a3"], cache["dec1.w4"])
+    da3, g["dec1.w"], g["dec1.b"] = _upconv_backward(da4, cache["a3"], w4["dec1.w"])
     np.multiply(da3, cache["a3"] > 0.0, out=da3)
     da2, g["enc3.w"], g["enc3.b"] = _conv2d_backward(da3, cache["a2"], t["enc3.w"], stride=2)
     np.multiply(da2, cache["a2"] > 0.0, out=da2)
@@ -367,7 +375,7 @@ def _backward_batch(params: ModelParams, cache: dict,
 def forward(params: ModelParams, image: Image) -> ForwardTrace:
     """One-image inference; training runs _forward_batch and _backward_batch."""
     size = params.config.input_size
-    if image.shape != size:
+    if image.values.shape != (size.height, size.width):
         raise ShapeMismatchError(
             f"image shape {image.shape} does not match model input {size}")
     x = image.values[None, None, :, :]

@@ -34,7 +34,10 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     header = _HEADER.match(data)
     if header is None:
         raise MalformedFileError(f"{path}: not a binary PGM header (P5 width height maxval)")
-    w, h, maxval = map(int, header.groups())
+    try:
+        w, h, maxval = map(int, header.groups())
+    except ValueError as exc:  # more digits than sys.get_int_max_str_digits() allows
+        raise MalformedFileError(f"{path}: header number too long ({exc})") from exc
     if w < 1 or h < 1:
         raise MalformedFileError(f"{path}: bad dimensions {w}x{h}")
     if not 1 <= maxval <= 255:

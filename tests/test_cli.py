@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -149,6 +150,24 @@ def test_forward_pass_at_the_ceiling_is_accepted(tmp_path, monkeypatch, capsys, 
     assert len(err) == 1 and f"= 8 x {largest} x 8 x 8 x {workers} needs" in err[0]
 
 
+def test_forward_pass_is_capped_by_the_dataset_dir_size(tmp_path, monkeypatch, capsys):
+    """A batch_size over a dataset_dir's 10 pairs is estimated at 10 samples, as it
+    is for a synth section of 10 samples."""
+    for k, sample in enumerate(data.generate_synthetic(
+            data.SynthConfig(GridShape(8, 8), n_samples=10, seed=0))):
+        data.save_sample(sample, tmp_path / "ds", f"{k:04d}")
+    cfg = write_config(tmp_path, {
+        "dataset_dir": str(tmp_path / "ds"), "model": dict(TINY_MODEL, base_channels=2),
+        "ablation": {"mode": "combined", "epochs": 1, "batch_size": 10**8},
+        "out_dir": str(tmp_path / "out")})
+    assert main(["train", "--config", cfg]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "MAX_CONFIG_BYTES",
+                        forward_bytes(ModelConfig(GridShape(8, 8), base_channels=2), 10) - 1)
+    assert main(["train", "--config", cfg]) == 1
+    assert "= 2 x 10 x 8 x 8 x 1 needs" in capsys.readouterr().err
+
+
 def test_synth_unknown_key_rejected(tmp_path):
     doc = synth_doc(tmp_path / "ds")
     doc["synth"]["typo_key"] = 1
@@ -221,6 +240,26 @@ def test_pgm_with_a_5000_digit_width_exits_2(tmp_path, capsys):
     pgm = tmp_path / "wide.pgm"
     pgm.write_bytes(b"P5\n" + b"9" * 5000 + b" 1\n255\n\x00")
     assert main(["score", str(pgm), str(pgm)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(pgm) in err[0]
+
+
+@pytest.mark.parametrize("header", [
+    pytest.param(b"P5\n" + b"9" * 1000 + b" 1\n255\n", id="width"),
+    pytest.param(b"P5\n1 " + b"0" * 999 + b"1\n255\n", id="height"),
+    pytest.param(b"P5\n1 1\n" + b"0" * 997 + b"255\n", id="maxval"),
+])
+def test_pgm_number_past_a_lowered_int_digit_limit_exits_2(tmp_path, capsys, header):
+    """A number within the header grammar's 4,300 digits but past a lower
+    sys.set_int_max_str_digits() limit is a malformed file, named in one line."""
+    pgm = tmp_path / "long.pgm"
+    pgm.write_bytes(header + b"\x00")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert main(["score", str(pgm), str(pgm)]) == 2
+    finally:
+        sys.set_int_max_str_digits(limit)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and str(pgm) in err[0]
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from statseg.errors import ShapeMismatchError
-from statseg.evaluation import (binarize, detect_degenerate,
+from statseg.evaluation import (EvalReport, binarize, detect_degenerate,
                                 evaluate_predictions, iou)
 from statseg.grid import Mask, SoftMask
 
@@ -21,6 +21,14 @@ def brute_force_iou(a, b):
             if a[i, j] == 1 or b[i, j] == 1:
                 union += 1
     return 1.0 if union == 0 else inter / union
+
+
+def retired_float_iou(pred, gt):
+    """The float-product IoU that evaluate_predictions used before it counted booleans."""
+    a, b = np.asarray(pred, dtype=np.float64), np.asarray(gt, dtype=np.float64)
+    inter = (a * b).sum(axis=(-2, -1))
+    union = a.sum(axis=(-2, -1)) + b.sum(axis=(-2, -1)) - inter
+    return (inter + (union == 0.0)) / np.maximum(union, 1.0)
 
 
 def test_binarize_examples():
@@ -109,3 +117,33 @@ def test_evaluate_predictions_aggregates():
     assert report.mean_iou == pytest.approx(np.mean(report.ious))
     assert report.degenerate_fraction == 0.5
     assert not report.degenerate
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (64, 64), (5, 7)])
+def test_evaluate_predictions_matches_the_float_iou(shape):
+    """Same report, field for field and bit for bit, as the float IoU gives; the stack
+    holds empty-vs-empty, empty-vs-full, full-vs-empty and random masks."""
+    class FakeSample:
+        def __init__(self, gt, stat):
+            self.gt = gt
+            self.stat = stat
+
+    rng = np.random.default_rng(sum(shape))
+    gts = [np.zeros(shape), np.ones(shape), np.zeros(shape)]
+    probs = [np.full(shape, 0.2), np.full(shape, 0.1), np.full(shape, 0.9)]
+    for _ in range(20):
+        gts.append((rng.uniform(size=shape) < rng.uniform()).astype(np.float64))
+        probs.append(rng.uniform(size=shape) ** rng.uniform(0.2, 5.0))
+    samples = [FakeSample(Mask(g), float(rng.uniform(0.0, 0.5))) for g in gts]
+    preds = [SoftMask(p) for p in probs]
+    ious = retired_float_iou(np.stack(probs) >= 0.5, np.stack(gts))
+    flags = detect_degenerate(np.stack(probs), np.array([s.stat for s in samples])).flagged
+    expected = EvalReport(ious=tuple(ious.tolist()), mean_iou=float(ious.mean()),
+                          degenerate=float(flags.mean()) > 0.5,
+                          degenerate_fraction=float(flags.mean()),
+                          pred_mean=float(np.stack(probs).mean()),
+                          pred_std=float(np.stack(probs).std()))
+    assert ious[:3].tolist() == [1.0, 0.0, 0.0]
+    assert evaluate_predictions(preds, samples) == expected
+    for p, g in zip(probs, gts):
+        assert iou(Mask((p >= 0.5).astype(np.float64)), Mask(g)) == retired_float_iou(p >= 0.5, g)

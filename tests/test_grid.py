@@ -26,6 +26,24 @@ def test_image_range_validation():
         Image(np.full((2, 2), np.nan))
 
 
+@pytest.mark.parametrize("cls", [Image, SoftMask])
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, "must be finite"), (np.inf, "must be finite"), (-np.inf, "must be finite"),
+    (-0.1, r"must lie in \[0, 1\]"), (1.1, r"must lie in \[0, 1\]"),
+])
+def test_unit_interval_messages(cls, bad, message):
+    """One bad pixel among legal ones, at either end of the grid; a non-finite value
+    is named as such even beside an out-of-range one."""
+    for where in (0, -1):
+        values = np.full((3, 4), 0.5)
+        values.flat[where] = bad
+        with pytest.raises(ValueError, match=f"^{cls.__name__} values {message}$"):
+            cls(values)
+    values = np.array([[-0.1, 1.1], [bad, 0.5]])
+    with pytest.raises(ValueError, match=f"^{cls.__name__} values {message}$"):
+        cls(values)
+
+
 def test_mask_binary_validation():
     Mask(np.eye(3))
     with pytest.raises(ValueError):

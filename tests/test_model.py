@@ -67,14 +67,43 @@ def test_flatten_roundtrip_exact():
         assert np.array_equal(params.tensors[name], again.tensors[name])
 
 
+def with_entries(params, entries):
+    """A copy of params in which entries, a dict of (tensor name, index) -> value, are set."""
+    tensors = {name: t.copy() for name, t in params.tensors.items()}
+    for (name, index), value in entries.items():
+        tensors[name][index] = value
+    return ModelParams.from_flat(params.config,
+                                 np.concatenate([t.ravel() for t in tensors.values()]))
+
+
 def test_tensors_are_views_of_flat():
-    params = init_params(CFG)
-    params.tensors["enc2.w"][1, 0, 2, 2] = 7.0
-    params.tensors["rec.b"][0] = -3.0
+    params = with_entries(init_params(CFG), {("enc2.w", (1, 0, 2, 2)): 7.0, ("rec.b", 0): -3.0})
+    assert params.tensors["enc2.w"][1, 0, 2, 2] == 7.0 and params.tensors["rec.b"][0] == -3.0
+    assert all(np.shares_memory(t, params.flat) for t in params.tensors.values())
     flat = params.flatten()
     assert flat[-1] == -3.0
     assert 7.0 in flat
     assert np.array_equal(flat, np.concatenate([t.ravel() for t in params.tensors.values()]))
+
+
+def test_params_are_read_only():
+    params = init_params(CFG)
+    with pytest.raises(ValueError, match="read-only"):
+        params.flat[0] = 1.0
+    for t in (*params.tensors.values(), *params.phase_kernels.values()):
+        with pytest.raises(ValueError, match="read-only"):
+            t[(0,) * t.ndim] = 1.0
+    assert np.array_equal(params.flat, init_params(CFG).flat)
+
+
+def test_phase_kernels_are_folded_from_the_decoder_kernels(tmp_path):
+    """By every constructor: init_params, from_flat, and load_checkpoint."""
+    save_checkpoint(init_params(CFG), tmp_path / "model.ckpt")
+    edited = with_entries(init_params(CFG), {("dec2.w", (0, 1, 2, 0)): 5.0})
+    for params in (init_params(CFG), edited, load_checkpoint(tmp_path / "model.ckpt")):
+        assert sorted(params.phase_kernels) == ["dec1.w", "dec2.w"]
+        for name, w4 in params.phase_kernels.items():
+            assert np.array_equal(w4, _phase_kernels(params.tensors[name]))
 
 
 def test_from_flat_copies_its_input():
@@ -137,8 +166,7 @@ def test_backward_zero_seed_gives_zero_grads():
 def test_relu_dead_unit_blocks_gradient():
     # force enc1 channel 0 dead everywhere via a large negative bias;
     # its incoming kernel must then receive zero gradient
-    params = init_params(CFG)
-    params.tensors["enc1.b"][0] = -100.0
+    params = with_entries(init_params(CFG), {("enc1.b", 0): -100.0})
     image, _, _ = fixture_inputs()
     _, _, cache = _forward_batch(params, image.values[None, None])
     assert not cache["a1"][0, 0].any()

@@ -108,3 +108,26 @@ def test_tracer_records_the_pgm_read_path(tmp_path):
     assert tr.leftover_wrappers(mods) == []
     assert tracer.stats.get("data.load_dataset", [0])[0] == 1
     assert tracer.stats.get("pgm.read", [0])[0] == 8
+
+
+def test_tracer_records_the_inference_path():
+    """Batch-1 forwards, then their scoring: each conv layer once per image, none unnamed."""
+    tr = _load_tracer()
+    mods = {name: importlib.import_module(f"statseg.{name}") for name in _traced_module_names()}
+    data, grid, model = mods["data"], mods["grid"], mods["model"]
+    samples = data.generate_synthetic(data.SynthConfig(grid.GridShape(8, 8), n_samples=3, seed=0))
+    params = model.init_params(model.ModelConfig(grid.GridShape(8, 8), base_channels=2))
+    tracer = tr.Tracer()
+    try:
+        tr.install(tracer, mods)
+        preds = [model.forward(params, s.image).pred for s in samples]
+        report = mods["evaluation"].evaluate_predictions(preds, samples)
+    finally:
+        tracer.restore()
+    assert tr.leftover_wrappers(mods) == []
+    assert len(report.ious) == 3
+    for span in ("model.forward", "model.forward_batch", "evaluation.evaluate"):
+        assert tracer.stats.get(span, [0])[0] > 0, span
+    for layer in ("enc1", "enc2", "enc3", "dec1", "dec2"):
+        assert tracer.stats.get(f"model.conv.{layer}.fwd", [0])[0] == 3, layer
+    assert "model.conv.other.fwd" not in tracer.stats
