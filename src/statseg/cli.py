@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from pathlib import Path
@@ -21,7 +20,7 @@ from . import data as data_mod
 from .errors import InvalidConfigError, StatsegError
 from .evaluation import SUMMARY_CSV_HEADER, emit_report, iou, summary_csv_row
 from .grid import GridShape, foreground_count
-from .model import ModelConfig, ModelParams, forward_bytes, param_shapes, save_checkpoint
+from .model import ModelConfig, ModelParams, _param_layout, forward_bytes, save_checkpoint
 from .morphology import weak_mask
 from .pgm import write_pgm
 from .training import (EVAL_BATCH_SIZE, AblationConfig, default_grid, grid_workers,
@@ -130,7 +129,7 @@ def _parse_model(d, seed) -> ModelConfig:
                       required=("height", "width"), seed=seed)
     cfg = ModelConfig(input_size=fields.pop("shape"), **fields)
     _check_size("model", f"'base_channels' = {cfg.base_channels}",
-                8 * sum(math.prod(shape) for _, shape in param_shapes(cfg.base_channels)))
+                8 * _param_layout(cfg.base_channels)[1])
     return cfg
 
 
@@ -190,8 +189,8 @@ def cmd_slice_select(args) -> int:
 def _run(doc: dict, args, grid: list, jobs: int) -> tuple:
     """Train each config of grid on the config's dataset; write the report and checkpoints.
 
-    Every section, the grid's run names, the forward pass's memory and the
-    output path are checked before the dataset is built or loaded. Returns
+    Every section, the grid's run names, the data source, the forward pass's memory
+    and the output path are checked, in order, before the dataset is built. Returns
     the records, a description of the data source and its sample count.
     """
     workers = grid_workers(jobs, len(grid))  # raises on jobs < 1 before anything else
@@ -207,15 +206,20 @@ def _run(doc: dict, args, grid: list, jobs: int) -> tuple:
             raise InvalidConfigError(f"the grid holds run {name} twice; "
                                      "the second would overwrite the first's outputs")
         seen.add(name)
-    # One forward pass in each worker. Training batches hold at most the grid's largest
-    # batch_size samples and eval batches EVAL_BATCH_SIZE, and neither more than the
-    # dataset: a synth section's n_samples, or a dataset_dir's image files, counted
-    # before any is read.
-    batch = max(EVAL_BATCH_SIZE, *(cfg.batch_size for cfg in grid))
+    # The dataset's size: a synth section's n_samples, or a dataset_dir's image files,
+    # counted before any is read.
+    dataset_dir = doc.get("dataset_dir")
     if synth is not None:
-        batch = min(batch, synth.n_samples)
-    elif doc["dataset_dir"].is_dir():
-        batch = min(batch, sum(1 for _ in doc["dataset_dir"].glob("*.img.pgm")))
+        n_samples = synth.n_samples
+    elif not dataset_dir.exists():
+        raise InvalidConfigError(f"dataset_dir does not exist: {dataset_dir}")
+    elif not dataset_dir.is_dir():
+        raise NotADirectoryError(f"dataset_dir {dataset_dir} is not a directory")
+    else:
+        n_samples = sum(1 for _ in dataset_dir.glob("*.img.pgm"))
+    # One forward pass in each worker: training batches hold at most the grid's largest
+    # batch_size samples and eval batches EVAL_BATCH_SIZE, and neither more than n_samples.
+    batch = min(n_samples, max(EVAL_BATCH_SIZE, *(cfg.batch_size for cfg in grid)))
     size = model_config.input_size
     _check_size("run", f"'base_channels' x 'batch_size' x 'height' x 'width' x workers = "
                 f"{model_config.base_channels} x {batch} x {size.height} x {size.width} "
@@ -223,12 +227,8 @@ def _run(doc: dict, args, grid: list, jobs: int) -> tuple:
     out = _out_dir(doc, args)
     if synth is not None:
         dataset, source = data_mod.generate_synthetic(synth), f"synthetic(seed={synth.seed})"
-    elif doc["dataset_dir"].is_dir():
-        dataset, source = data_mod.load_dataset(doc["dataset_dir"]), str(doc["dataset_dir"])
-    elif doc["dataset_dir"].exists():
-        raise NotADirectoryError(f"dataset_dir {doc['dataset_dir']} is not a directory")
     else:
-        raise InvalidConfigError(f"dataset_dir does not exist: {doc['dataset_dir']}")
+        dataset, source = data_mod.load_dataset(dataset_dir), str(dataset_dir)
 
     records = run_ablation_grid(dataset, model_config, grid, jobs=jobs)
     emit_report(records, out)
@@ -293,10 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    p = add("synth", cmd_synth, help="generate a synthetic PGM dataset")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    config = argparse.ArgumentParser(add_help=False)  # the JSON-config commands' options
+    config.add_argument("--config", required=True)
+    config.add_argument("--out", default=None)
+    config.add_argument("--seed", type=int, default=None)
+
+    add("synth", cmd_synth, parents=[config], help="generate a synthetic PGM dataset")
 
     p = add("weakmask", cmd_weakmask, help="erode a mask down to a weak mask")
     p.add_argument("mask", type=Path)
@@ -307,15 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="pick the volume slice with the largest ROI")
     p.add_argument("volume_dir", type=Path)
 
-    p = add("train", cmd_train, help="run a single training configuration")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    add("train", cmd_train, parents=[config], help="run a single training configuration")
 
-    p = add("ablate", cmd_ablate, help="run the ablation grid and emit the table")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p = add("ablate", cmd_ablate, parents=[config],
+            help="run the ablation grid and emit the table")
     p.add_argument("--jobs", type=int, default=1)
 
     p = add("score", cmd_score, help="print IoU between two mask PGMs")

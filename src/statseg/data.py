@@ -1,7 +1,7 @@
 """Synthetic dataset generation, PGM dataset ingestion, volume slice selection.
 
 On-disk convention: paired `<stem>.img.pgm` / `<stem>.mask.pgm` files;
-volumes are directories of `<stem>.slice<k>.mask.pgm` with contiguous k.
+volumes are directories of `<stem>.slice<k>.mask.pgm` with contiguous k, one file each.
 """
 from __future__ import annotations
 
@@ -84,10 +84,9 @@ class Sample:
 _MAX_ATTEMPTS = 500
 
 
-def _random_ellipse(rng, shape: GridShape, lo: float, hi: float) -> np.ndarray:
+def _random_ellipse(rng, yy, xx, lo: float, hi: float) -> np.ndarray:
     """Rasterized axis-aligned ellipse whose pixel fraction lands in [lo, hi]."""
-    h, w = shape.height, shape.width
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    h, w = yy.shape
     for _ in range(_MAX_ATTEMPTS):
         frac = rng.uniform(lo, hi)
         aspect = rng.uniform(0.6, 1.6)
@@ -109,9 +108,10 @@ def generate_synthetic(config: SynthConfig) -> list:
     """Ellipse-on-flat-background samples, fully determined by config.seed."""
     rng = np.random.default_rng(config.seed)
     lo, hi = config.roi_fraction_range
+    yy, xx = np.mgrid[0:config.shape.height, 0:config.shape.width].astype(np.float64)
     samples = []
     for _ in range(config.n_samples):
-        gt_arr = _random_ellipse(rng, config.shape, lo, hi)
+        gt_arr = _random_ellipse(rng, yy, xx, lo, hi)
         img = config.background_level + config.contrast * gt_arr
         img = img + config.noise_std * rng.standard_normal(gt_arr.shape)
         img = np.clip(img, 0.0, 1.0)
@@ -182,20 +182,19 @@ def load_dataset(dir_path) -> list:
 
 
 def load_mask_stack(dir_path) -> np.ndarray:
-    """Read a volume directory of `<stem>.slice<k>.mask.pgm`, k contiguous from 0,
-    as a boolean (N, H, W) stack."""
+    """Read a volume directory of `<stem>.slice<k>.mask.pgm`, k contiguous from 0 and
+    each claimed by one file, as a boolean (N, H, W) stack."""
     dir_path = Path(dir_path)
-    found = {}
-    for p in sorted(dir_path.iterdir()) if dir_path.is_dir() else []:
-        m = _SLICE_RE.match(p.name)
-        if m:
-            found[int(m.group("k"))] = p
+    paths = dir_path.iterdir() if dir_path.is_dir() else []
+    found = sorted((int(m["k"]), p) for p in paths if (m := _SLICE_RE.match(p.name)))
     if not found:
         raise EmptyStackError(f"{dir_path}: no slice masks found")
-    n = len(found)
-    if sorted(found) != list(range(n)):
+    for (k, p), (next_k, next_p) in zip(found, found[1:]):
+        if k == next_k:
+            raise MissingPairError(f"{p} and {next_p} both hold slice {k}")
+    if [k for k, _ in found] != list(range(len(found))):
         raise MissingPairError(f"{dir_path}: slice indices not contiguous from 0")
-    masks = [read_mask_pgm(found[k]).values == 1.0 for k in range(n)]
+    masks = [read_mask_pgm(p).values == 1.0 for _, p in found]
     if any(m.shape != masks[0].shape for m in masks):
         raise ShapeMismatchError("all slices in a stack must share one shape")
     return np.stack(masks)

@@ -21,6 +21,7 @@ folds the decoders' phase kernels once, so forwards on the same parameters
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -71,9 +72,7 @@ def _param_layout(base_channels: int) -> tuple:
     out = []
     off = 0
     for name, shape in param_shapes(base_channels):
-        size = 1
-        for s in shape:
-            size *= s
+        size = math.prod(shape)
         out.append((name, shape, off, size))
         off += size
     return tuple(out), off
@@ -123,7 +122,7 @@ def init_params(config: ModelConfig) -> ModelParams:
     flat = np.zeros(total)
     for name, shape, off, size in layout:
         if name.endswith(".w"):
-            fan_in = int(np.prod(shape[1:]))
+            fan_in = math.prod(shape[1:])
             flat[off:off + size] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=size)
     return ModelParams(config, flat)
 

@@ -1,5 +1,9 @@
+import argparse
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,6 +201,71 @@ def test_usage_error_exits_1():
     assert main(["not-a-command"]) == 1
 
 
+def test_config_commands_parse_config_out_and_seed_alike():
+    parser = cli.build_parser()
+    for argv, expected in [
+        (["--config", "c.json"], {"config": "c.json", "out": None, "seed": None}),
+        (["--config", "c.json", "--out", "o", "--seed", "-3"],
+         {"config": "c.json", "out": "o", "seed": -3}),
+    ]:
+        for command in ("synth", "train", "ablate"):
+            args = vars(parser.parse_args([command, *argv]))
+            assert args.pop("command") == command and args.pop("fn").__name__ == f"cmd_{command}"
+            if command == "ablate":
+                assert args.pop("jobs") == 1
+            assert args == expected
+
+
+def retired_build_parser() -> argparse.ArgumentParser:
+    """build_parser as it was when each config command added its own --config, --out
+    and --seed."""
+    parser = argparse.ArgumentParser(prog="statseg")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("synth", help="generate a synthetic PGM dataset")
+    p.add_argument("--config", required=True)
+    p.add_argument("--out", default=None)
+    p.add_argument("--seed", type=int, default=None)
+
+    p = sub.add_parser("weakmask", help="erode a mask down to a weak mask")
+    p.add_argument("mask", type=Path)
+    p.add_argument("--coverage", type=float, required=True)
+    p.add_argument("--out", default=None)
+
+    p = sub.add_parser("slice-select", help="pick the volume slice with the largest ROI")
+    p.add_argument("volume_dir", type=Path)
+
+    p = sub.add_parser("train", help="run a single training configuration")
+    p.add_argument("--config", required=True)
+    p.add_argument("--out", default=None)
+    p.add_argument("--seed", type=int, default=None)
+
+    p = sub.add_parser("ablate", help="run the ablation grid and emit the table")
+    p.add_argument("--config", required=True)
+    p.add_argument("--out", default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1)
+
+    p = sub.add_parser("score", help="print IoU between two mask PGMs")
+    p.add_argument("pred", type=Path)
+    p.add_argument("gt", type=Path)
+    return parser
+
+
+def subcommand_parsers(parser) -> dict:
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_help_matches_the_retired_parser():
+    parser, retired = cli.build_parser(), retired_build_parser()
+    assert parser.format_help() == retired.format_help()
+    subs, retired_subs = subcommand_parsers(parser), subcommand_parsers(retired)
+    assert list(subs) == list(retired_subs)
+    for name, p in subs.items():
+        assert p.format_help() == retired_subs[name].format_help(), name
+
+
 def square_mask_pgm(path, grid=9, side=7):
     arr = np.zeros((grid, grid), dtype=np.uint8)
     off = (grid - side) // 2
@@ -300,6 +369,19 @@ def test_slice_select_mixed_shapes_exits_2(tmp_path, capsys):
     assert err == ["error: all slices in a stack must share one shape"]
 
 
+def test_slice_select_two_files_of_one_slice_exits_2(tmp_path, capsys):
+    """b.slice1 would win the largest-ROI pick, but a.slice1 holds slice 1 too."""
+    for stem, count in (("a.slice0", 4), ("a.slice1", 4), ("b.slice1", 16)):
+        arr = np.zeros((4, 4), dtype=np.uint8)
+        arr.flat[:count] = 255
+        write_pgm(tmp_path / f"{stem}.mask.pgm", arr)
+    assert main(["slice-select", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.splitlines()
+    assert len(err) == 1 and "a.slice1.mask.pgm" in err[0] and "b.slice1.mask.pgm" in err[0]
+
+
 def test_score(tmp_path, capsys):
     a = np.zeros((2, 2), dtype=np.uint8)
     a[0, 0] = a[0, 1] = 255
@@ -381,6 +463,37 @@ def test_ablate_default_grid_row_count(tmp_path, capsys):
     assert len(overlays) == 6
 
 
+def test_ablate_jobs_2_writes_the_bytes_of_jobs_1(tmp_path):
+    """The grid in two worker processes writes what it writes in one, but for
+    summary.json's wall_seconds. Each run is a subprocess, so that the pool forks
+    outside the test process."""
+    doc = synth_doc(tmp_path / "unused", n_samples=20)
+    del doc["out_dir"]
+    doc.update(model={"height": 16, "width": 16, "base_channels": 2, "seed": 0}, epochs=2)
+    cfg = write_config(tmp_path, doc)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        proc = subprocess.run([sys.executable, "-m", "statseg.cli", "ablate", "--config", cfg,
+                               "--out", str(out), "--jobs", jobs],
+                              env=env, capture_output=True, text=True, check=False,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        files = {}
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            content = path.read_bytes()
+            if path.name == "summary.json":
+                content = json.loads(content)
+                assert content.pop("wall_seconds") > 0
+            files[path.relative_to(out).as_posix()] = content
+        runs[jobs] = proc.stdout, files
+    assert len(runs["1"][1]) == 1 + 6 * 19  # summary.csv, and 19 files per run
+    assert runs["2"] == runs["1"]
+
+
 def test_ablate_dataset_dir_must_exist(tmp_path):
     doc = {"dataset_dir": str(tmp_path / "missing"),
            "model": {"height": 16, "width": 16}, "out_dir": str(tmp_path / "o")}
@@ -398,6 +511,30 @@ def test_ablate_dataset_dir_that_is_a_file_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and str(not_dir) in err[0] and "is not a directory" in err[0]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("hazard", ["huge-batch", "output-under-a-file"])
+@pytest.mark.parametrize("make,code,message", [
+    (lambda path: None, 1, "does not exist"),
+    (lambda path: path.write_bytes(b""), 2, "is not a directory"),
+], ids=["missing", "file"])
+def test_dataset_dir_is_checked_before_the_memory_and_the_output_path(
+        tmp_path, capsys, hazard, make, code, message):
+    """A dataset_dir that is missing or a file gives its own error, not the pre-flight's
+    (which could not count its samples) nor the output path's."""
+    dataset_dir = tmp_path / "ds"
+    make(dataset_dir)
+    ablation, out = {"mode": "combined", "epochs": 1}, tmp_path / "out"
+    if hazard == "huge-batch":
+        ablation["batch_size"] = 10**8
+    else:
+        (tmp_path / "blocker").write_bytes(b"")
+        out = tmp_path / "blocker" / "out"
+    cfg = write_config(tmp_path, {"dataset_dir": str(dataset_dir), "model": TINY_MODEL,
+                                  "ablation": ablation, "out_dir": str(out)})
+    assert main(["train", "--config", cfg]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(dataset_dir) in err[0] and message in err[0]
 
 
 @pytest.mark.parametrize("command,section", [

@@ -385,6 +385,18 @@ def test_load_mask_stack_gap_rejected(tmp_path):
         load_mask_stack(tmp_path)
 
 
+@pytest.mark.parametrize("stems,first,second", [
+    (("a.slice0", "a.slice1", "b.slice1"), "a.slice1", "b.slice1"),
+    (("a.slice0", "a.slice1", "a.slice01"), "a.slice01", "a.slice1"),
+], ids=["two-stems", "leading-zero"])
+def test_load_mask_stack_rejects_two_files_of_one_slice(tmp_path, stems, first, second):
+    for stem in stems:
+        write_pgm(tmp_path / f"{stem}.mask.pgm", np.full((4, 4), 255, dtype=np.uint8))
+    with pytest.raises(MissingPairError, match="slice 1") as exc:
+        load_mask_stack(tmp_path)
+    assert f"{first}.mask.pgm" in str(exc.value) and f"{second}.mask.pgm" in str(exc.value)
+
+
 def test_load_mask_stack_empty_dir(tmp_path):
     with pytest.raises(EmptyStackError):
         load_mask_stack(tmp_path)
